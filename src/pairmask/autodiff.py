@@ -11,6 +11,15 @@ central finite differences by ``grad_check``. Forward passes are pure
 numpy on contiguous arrays, so identical inputs give bit-identical
 outputs; reductions keep numpy's fixed sequential order.
 
+Two fused operators keep graphs small. ``linear`` is ``x @ w + b`` as one
+node, and ``attention`` is a whole multi-head attention (four
+projections, head split and join, softmax, both matmuls) as one node.
+Both take any leading batch axes ``(..., L, D)``. The vjps of a fused
+node share one backward computation, memoised on the incoming gradient.
+
+Inside ``with no_grad():`` operators record no parents and no vjps, so a
+forward-only pass builds no graph; ``backward`` refuses such a result.
+
 Numeric defaults are float32. Gradient checking runs the same graphs at
 float64 (pass 64-bit inputs; ops inherit the dtype of their arguments).
 """
@@ -18,6 +27,8 @@ float64 (pass 64-bit inputs; ops inherit the dtype of their arguments).
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -110,13 +121,36 @@ class Tensor:
         return matmul(self, other)
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block: outputs keep no parents or vjps.
+
+    For forward-only passes. The previous mode comes back on exit, also
+    when the block raises, so nesting is safe and a graph being built
+    around the block is untouched. The mode is per thread.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], vjps: Sequence[Callable], op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._spent = False
     out._op = op
-    track = any(p.requires_grad or p._parents for p in parents)
+    track = _grad_mode.enabled and any(p.requires_grad or p._parents for p in parents)
     out.requires_grad = track
     if track:
         out._parents = tuple(parents)
@@ -212,6 +246,128 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map of the last axis, ``x @ w + b``: (..., Din) -> (..., Dout).
+
+    Leading axes are folded into the rows of one matrix product, so a
+    batch costs one node and one BLAS call.
+    """
+    _check_same_dtype("linear", x, w, b)
+    if w.ndim != 2:
+        raise ShapeError(f"linear: weight w must be 2-D, got {w.shape}")
+    din, dout = w.shape
+    if x.ndim < 1 or x.shape[-1] != din:
+        raise ShapeError(f"linear: input x {x.shape} does not end in weight w's {din} rows")
+    if b.shape != (dout,):
+        raise ShapeError(f"linear: bias b {b.shape} vs weight w {w.shape}, need ({dout},)")
+    x2 = x.data.reshape(-1, din)
+    data = (x2 @ w.data + b.data).reshape(x.shape[:-1] + (dout,))
+    return _make(
+        data,
+        (x, w, b),
+        (
+            lambda g: (g.reshape(-1, dout) @ w.data.T).reshape(x.shape),
+            lambda g: x2.T @ g.reshape(-1, dout),
+            lambda g: g.reshape(-1, dout).sum(axis=0),
+        ),
+        "linear",
+    )
+
+
+def attention(
+    query: Tensor, kv: Tensor,
+    wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
+    wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
+    heads: int,
+) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``query`` (..., Lq, D) attends over ``kv`` (..., Lk, D); pass one
+    tensor twice for self-attention. Each projection is ``x @ w + b``
+    with w (D, D); heads split the width into ``heads`` blocks, and the
+    output is ``softmax(q k^T / sqrt(D/heads)) v`` joined and projected
+    by ``wo``, ``bo``: (..., Lq, D). The vjp saves only the softmax row
+    max and row sum and recomputes the probabilities from them
+    (FlashAttention, arXiv 2205.14135).
+    """
+    weights = {"wq": wq, "bq": bq, "wk": wk, "bk": bk, "wv": wv, "bv": bv, "wo": wo, "bo": bo}
+    _check_same_dtype("attention", query, kv, *weights.values())
+    if query.ndim < 2 or kv.ndim < 2:
+        raise ShapeError(f"attention: query {query.shape} and kv {kv.shape} must be (..., L, D)")
+    if query.shape[:-2] != kv.shape[:-2]:
+        raise ShapeError(f"attention: leading dims of query {query.shape} and kv {kv.shape} differ")
+    d = query.shape[-1]
+    if kv.shape[-1] != d:
+        raise ShapeError(f"attention: kv {kv.shape} width differs from query {query.shape}")
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: width {d} not divisible by heads {heads}")
+    for name, t in weights.items():
+        want = (d, d) if name[0] == "w" else (d,)
+        if t.shape != want:
+            raise ShapeError(f"attention: {name} {t.shape}, need {want}")
+
+    lead, lq, hd = query.shape[:-2], query.shape[-2], d // heads
+    scale = np.asarray(1.0 / math.sqrt(hd), dtype=query.data.dtype)
+
+    def project(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+        """(..., L, D) -> heads (..., h, L, hd)."""
+        y = x.reshape(-1, d) @ w.data + b.data
+        return y.reshape(x.shape[:-1] + (heads, hd)).swapaxes(-3, -2)
+
+    def join(h: np.ndarray) -> np.ndarray:
+        """Heads (..., h, L, hd) -> rows (n, D), leading axes folded."""
+        return h.swapaxes(-3, -2).reshape(-1, d)
+
+    qh, kh, vh = project(query.data, wq, bq), project(kv.data, wk, bk), project(kv.data, wv, bv)
+    # one (..., h, Lq, Lk) buffer goes scores -> exp -> probabilities in place
+    probs = qh @ kh.swapaxes(-1, -2)
+    probs *= scale
+    row_max = probs.max(axis=-1, keepdims=True)
+    probs -= row_max
+    np.exp(probs, out=probs)
+    row_sum = probs.sum(axis=-1, keepdims=True)
+    probs /= row_sum
+    ctx = join(probs @ vh)
+    del probs
+    data = (ctx @ wo.data + bo.data).reshape(lead + (lq, d))
+
+    def grads(g: np.ndarray) -> tuple:
+        g2 = g.reshape(-1, d)
+        probs = np.exp((qh @ kh.swapaxes(-1, -2)) * scale - row_max) / row_sum
+        gctx = (g2 @ wo.data.T).reshape(lead + (lq, heads, hd)).swapaxes(-3, -2)
+        gp = gctx @ vh.swapaxes(-1, -2)
+        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+        out = {"wo": ctx.T @ g2, "bo": g2.sum(axis=0)}
+        dx = {}
+        for tag, x, gh in (
+            ("q", query, gs @ kh),
+            ("k", kv, gs.swapaxes(-1, -2) @ qh),
+            ("v", kv, probs.swapaxes(-1, -2) @ gctx),
+        ):
+            gh2 = join(gh)
+            dx[tag] = (gh2 @ weights[f"w{tag}"].data.T).reshape(x.shape)
+            out[f"w{tag}"] = x.data.reshape(-1, d).T @ gh2
+            out[f"b{tag}"] = gh2.sum(axis=0)
+        inputs = (dx["q"] + dx["k"] + dx["v"],) if kv is query else (dx["q"], dx["k"] + dx["v"])
+        return inputs + tuple(out[name] for name in weights)
+
+    # one backward pass per incoming g serves every parent's vjp; each
+    # result is dropped from the memo once handed out
+    memo: list = [None, []]
+
+    def vjp_for(i: int) -> Callable:
+        def vjp(g: np.ndarray) -> np.ndarray:
+            if memo[0] is not g or memo[1][i] is None:
+                memo[0], memo[1] = g, list(grads(g))
+            out, memo[1][i] = memo[1][i], None
+            return out
+
+        return vjp
+
+    parents = ((query,) if kv is query else (query, kv)) + tuple(weights.values())
+    return _make(data, parents, tuple(vjp_for(i) for i in range(len(parents))), "attention")
+
+
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.ndim)):
@@ -283,10 +439,10 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Row lookup into an embedding table, shape [V, D] -> [len(ids), D]."""
+    """Row lookup into an embedding table, shape [V, D] + ids [..., L] -> [..., L, D]."""
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"embedding_lookup: ids must be 1-D, got {idx.shape}")
+    if idx.ndim < 1:
+        raise ShapeError(f"embedding_lookup: ids must be at least 1-D, got {idx.shape}")
     if table.ndim != 2:
         raise ShapeError(f"embedding_lookup: table must be 2-D, got {table.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
@@ -349,11 +505,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
-    phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    data = (x.data * phi).astype(x.data.dtype)
-    density = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
+    phi = x.data * _INV_SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    data = x.data * phi
 
     def vjp(g: np.ndarray) -> np.ndarray:
+        density = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
         return g * (phi + x.data * density)
 
     return _make(data, (x,), (vjp,), "gelu")
@@ -571,6 +730,8 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if not loss.requires_grad:
+        raise GraphError("backward: loss has no graph (built under no_grad, or from constants only)")
     if loss._spent:
         raise GraphError("backward already ran on this graph; rebuild the graph or reset")
     loss._spent = True

@@ -325,6 +325,19 @@ def cmd_gradcheck(args) -> int:
     worst["bilinear_upsample"] = ad.grad_check(
         lambda _: ad.mean(ad.mul(ad.bilinear_upsample(u), ad.bilinear_upsample(u))), [u]
     )
+    xs = ad.parameter(rng.normal(size=(2, 3, 4)), dtype=np.float64)
+    lw = ad.parameter(rng.normal(size=(4, 5)), dtype=np.float64)
+    lb = ad.parameter(rng.normal(size=(5,)), dtype=np.float64)
+    worst["linear"] = ad.grad_check(
+        lambda _: ad.mean(ad.mul(ad.linear(xs, lw, lb), ad.linear(xs, lw, lb))), [xs, lw, lb]
+    )
+    kv = ad.parameter(rng.normal(size=(2, 5, 4)), dtype=np.float64)
+    aw = [ad.parameter(rng.normal(size=(4, 4) if i % 2 == 0 else (4,)), dtype=np.float64) for i in range(8)]
+    # bk is left out: its true gradient is 0 (the softmax cancels it)
+    worst["attention"] = ad.grad_check(
+        lambda _: ad.mean(ad.mul(ad.attention(xs, kv, *aw, heads=2), ad.attention(xs, kv, *aw, heads=2))),
+        [xs, kv] + aw[:3] + aw[4:],
+    )
 
     failed = False
     for name, err in worst.items():

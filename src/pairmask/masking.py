@@ -130,13 +130,15 @@ def plan_patch_mask(
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:
-    """[H, W] -> [N, patch*patch] rows in row-major patch order."""
-    h, w = image.shape
+    """[..., H, W] -> [..., N, patch*patch] rows in row-major patch order."""
+    if image.ndim < 2:
+        raise ValueError(f"patchify: image {image.shape} must be (..., H, W)")
+    *lead, h, w = image.shape
     if h % patch or w % patch:
         raise ValueError(f"patchify: image {image.shape} not divisible by patch {patch}")
     gh, gw = h // patch, w // patch
-    tiles = image.reshape(gh, patch, gw, patch).transpose(0, 2, 1, 3)
-    return tiles.reshape(gh * gw, patch * patch)
+    tiles = image.reshape(*lead, gh, patch, gw, patch).swapaxes(-3, -2)
+    return tiles.reshape(*lead, gh * gw, patch * patch)
 
 
 def unpatchify(patches: np.ndarray, height: int, width: int, patch: int) -> np.ndarray:

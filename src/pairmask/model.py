@@ -7,7 +7,15 @@ super-resolution head over the reconstruction, and a text path that
 embeds (masked) report tokens, fuses them with vision features at two
 scales, and decodes token logits. All tensors flow through the autodiff
 engine; every trainable array lives in ``Model.params`` under a stable
-dotted name so optimizers and checkpoints can address it.
+dotted name so optimizers and checkpoints can address it. Projections
+are fused ``linear`` nodes and each attention is one fused ``attention``
+node, for training and evaluation alike.
+
+The encoder, the text path and the fine-tuning path take any leading
+batch axes: ``(..., N, D)`` patch features and ``(..., L)`` token ids,
+with every sample in a batch sharing one set of positions. The image
+decoder and the SR head take one sample, because each sample has its
+own patch mask plan.
 
 Fusion wiring: token features attend over local patch features
 (cross-attention, no residual) while a linear projection of the
@@ -18,7 +26,6 @@ be ablated without disturbing the other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,12 +87,12 @@ def sinusoid_table(n_positions: int, dim: int, dtype=np.float32) -> np.ndarray:
 class FusionBundle:
     """All intermediate fusion features, kept for probing and tests."""
 
-    f_t: Tensor         # (L, D) self-attended token features
-    f_v_local: Tensor   # (N, D) patch features as given
-    f_v_global: Tensor  # (D,)   mean-pooled patch feature
-    f_a_local: Tensor   # (L, D) cross-attention over patches
-    f_a_global: Tensor  # (D,)   projected global feature
-    f_f: Tensor         # (L, D) fused sequence
+    f_t: Tensor         # (..., L, D) self-attended token features
+    f_v_local: Tensor   # (..., N, D) patch features as given
+    f_v_global: Tensor  # (..., D)    mean-pooled patch feature
+    f_a_local: Tensor   # (..., L, D) cross-attention over patches
+    f_a_global: Tensor  # (..., 1, D) projected global feature, broadcast over positions
+    f_f: Tensor         # (..., L, D) fused sequence
 
 
 class Model:
@@ -185,33 +192,17 @@ class Model:
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
         return ad.layer_normalize(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
-    def _heads_split(self, x: Tensor) -> Tensor:
-        L, d = x.shape
-        h = self.cfg.heads
-        return ad.transpose(ad.reshape(x, (L, h, d // h)), (1, 0, 2))  # (h, L, hd)
-
-    def _heads_join(self, x: Tensor) -> Tensor:
-        h, L, hd = x.shape
-        return ad.reshape(ad.transpose(x, (1, 0, 2)), (L, h * hd))
-
     def _attention(self, prefix: str, query: Tensor, kv: Tensor) -> Tensor:
         p = self.params
-        q = ad.add(ad.matmul(query, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
-        k = ad.add(ad.matmul(kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
-        v = ad.add(ad.matmul(kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-        qh, kh, vh = self._heads_split(q), self._heads_split(k), self._heads_split(v)
-        scale = 1.0 / math.sqrt(self.cfg.dim // self.cfg.heads)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 2, 1))), scale)  # (h, Lq, Lk)
-        ctx = ad.matmul(ad.softmax(scores, axis=-1), vh)
-        return ad.add(ad.matmul(self._heads_join(ctx), p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+        weights = (p[f"{prefix}.{name}"] for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
+        return ad.attention(query, kv, *weights, heads=self.cfg.heads)
 
     def _block(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params
         normed = self._ln(f"{prefix}.ln1", x)
         x = ad.add(x, self._attention(f"{prefix}.attn", normed, normed))
-        h = self._ln(f"{prefix}.ln2", x)
-        h = ad.add(ad.matmul(h, p[f"{prefix}.ff.w1"]), p[f"{prefix}.ff.b1"])
-        h = ad.add(ad.matmul(ad.gelu(h), p[f"{prefix}.ff.w2"]), p[f"{prefix}.ff.b2"])
+        h = ad.linear(self._ln(f"{prefix}.ln2", x), p[f"{prefix}.ff.w1"], p[f"{prefix}.ff.b1"])
+        h = ad.linear(ad.gelu(h), p[f"{prefix}.ff.w2"], p[f"{prefix}.ff.b2"])
         return ad.add(x, h)
 
     def _positions(self, positions: Sequence[int]) -> Tensor:
@@ -220,31 +211,37 @@ class Model:
     # ---- vision ----
 
     def encode_image(self, patches: np.ndarray, positions: Sequence[int]) -> Tensor:
-        """Encode visible patches given their grid positions: (N_vis, D).
+        """Encode visible patches given their grid positions: (..., N_vis, D).
 
-        Position encodings are looked up per given index, so the output
-        is equivariant to permuting (patches, positions) together.
+        ``patches`` is (..., N_vis, patch^2); every sample in a batch
+        shares ``positions``. Position encodings are looked up per given
+        index, so the output is equivariant to permuting (patches,
+        positions) together.
         """
         positions = list(positions)
-        if len(positions) != patches.shape[0]:
+        if patches.ndim < 2:
+            raise ValueError(f"encode_image: patches {patches.shape} must be (..., N_vis, patch^2)")
+        if len(positions) != patches.shape[-2]:
             raise ValueError(
-                f"encode_image: {patches.shape[0]} patches vs {len(positions)} positions"
+                f"encode_image: {patches.shape[-2]} patches vs {len(positions)} positions"
             )
-        if patches.shape[1] != self.cfg.patch * self.cfg.patch:
-            raise ValueError(f"encode_image: patch rows {patches.shape[1]} != patch^2")
+        if patches.shape[-1] != self.cfg.patch * self.cfg.patch:
+            raise ValueError(f"encode_image: patch rows {patches.shape[-1]} != patch^2")
         x = ad.constant(patches, dtype=self.dtype)
-        x = ad.add(ad.matmul(x, self.params["patch_embed.w"]), self.params["patch_embed.b"])
+        x = ad.linear(x, self.params["patch_embed.w"], self.params["patch_embed.b"])
         x = ad.add(x, self._positions(positions))
         for i in range(self.cfg.encoder_depth):
             x = self._block(f"enc.{i}", x)
         return self._ln("enc.norm", x)
 
     def decoder_sequence(self, f_v: Tensor, plan: PatchMaskPlan) -> Tensor:
-        """Pre-decoder rows: encoded patches scattered to their positions,
-        mask token + position encoding everywhere else."""
+        """Pre-decoder rows of one sample: encoded patches scattered to
+        their positions, mask token + position encoding everywhere else."""
         n = plan.n_patches
         if n != self.cfg.n_patches:
             raise ValueError(f"decoder_sequence: plan has {n} patches, config {self.cfg.n_patches}")
+        if f_v.ndim != 2:
+            raise ValueError(f"decoder_sequence: f_v {f_v.shape} must be one sample's (N_vis, D)")
         n_vis = len(plan.visible)
         if f_v.shape[0] != n_vis:
             raise ValueError(f"decoder_sequence: {f_v.shape[0]} encoded rows vs {n_vis} visible")
@@ -260,12 +257,12 @@ class Model:
         return ad.add(ordered, self._positions(range(n)))
 
     def decode_image(self, f_v: Tensor, plan: PatchMaskPlan) -> Tensor:
-        """Reconstruct the full low-res image: (H, W)."""
+        """Reconstruct one sample's full low-res image: (H, W)."""
         x = self.decoder_sequence(f_v, plan)
         for i in range(self.cfg.decoder_depth):
             x = self._block(f"dec.{i}", x)
         x = self._ln("dec.norm", x)
-        pred = ad.add(ad.matmul(x, self.params["dec.head.w"]), self.params["dec.head.b"])
+        pred = ad.linear(x, self.params["dec.head.w"], self.params["dec.head.b"])
         return self.unpatchify_t(pred)
 
     def unpatchify_t(self, patches: Tensor) -> Tensor:
@@ -292,15 +289,18 @@ class Model:
     # ---- text ----
 
     def embed_text(self, ids: np.ndarray) -> Tensor:
-        """Token embedding plus sinusoidal position encoding: (L, D)."""
+        """Token embedding plus sinusoidal position encoding: ids (..., L) -> (..., L, D)."""
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size > self.cfg.max_text_len:
-            raise ValueError(f"embed_text: {ids.size} tokens exceed max {self.cfg.max_text_len}")
+        if ids.ndim < 1:
+            raise ValueError(f"embed_text: ids {ids.shape} must be (..., L)")
+        if ids.shape[-1] > self.cfg.max_text_len:
+            raise ValueError(f"embed_text: {ids.shape[-1]} tokens exceed max {self.cfg.max_text_len}")
         emb = ad.embedding_lookup(self.params["tok_embed.w"], ids)
-        return ad.add(emb, self._positions(range(ids.size)))
+        return ad.add(emb, self._positions(range(ids.shape[-1])))
 
     def mscf_fuse(self, f_v_local: Tensor, e_t: Tensor) -> FusionBundle:
-        """Fuse token features with patch features at two scales.
+        """Fuse token features e_t (..., L, D) with patch features
+        f_v_local (..., N, D) at two scales; leading axes must match.
 
         ``f_f = f_t + cross_attention(f_t over patches) + broadcast
         (linear(mean(patches)))``; with zero patch features and zero-bias
@@ -309,10 +309,10 @@ class Model:
         p = self.params
         sa_in = self._ln("fuse.sa.ln", e_t)
         f_t = ad.add(e_t, self._attention("fuse.sa.attn", sa_in, sa_in))
-        f_v_global = ad.mean(f_v_local, axis=0)
+        f_v_global = ad.mean(f_v_local, axis=-2)
         f_a_local = self._attention("fuse.ca.attn", self._ln("fuse.ca.lnq", f_t), f_v_local)
-        f_a_global = ad.add(ad.matmul(ad.reshape(f_v_global, (1, self.cfg.dim)), p["fuse.global.w"]), p["fuse.global.b"])
-        f_a_global = ad.reshape(f_a_global, (self.cfg.dim,))
+        row = ad.reshape(f_v_global, f_v_global.shape[:-1] + (1, self.cfg.dim))
+        f_a_global = ad.linear(row, p["fuse.global.w"], p["fuse.global.b"])
         f_f = ad.add(ad.add(f_t, f_a_local), f_a_global)
         return FusionBundle(
             f_t=f_t,
@@ -324,21 +324,22 @@ class Model:
         )
 
     def decode_text(self, f_f: Tensor) -> Tensor:
-        """Token logits from fused features: (L, vocab). Position-free."""
+        """Token logits from fused features: (..., L, vocab). Position-free."""
         x = f_f
         for i in range(self.cfg.text_decoder_depth):
             x = self._block(f"txtdec.{i}", x)
         x = self._ln("txtdec.norm", x)
-        return ad.add(ad.matmul(x, self.params["txtdec.head.w"]), self.params["txtdec.head.b"])
+        return ad.linear(x, self.params["txtdec.head.w"], self.params["txtdec.head.b"])
 
     # ---- fine-tuning path ----
 
     def forward_finetune(self, image: np.ndarray, mode: str = MODE_GLOBAL) -> Tensor:
-        """Encode a full unmasked image; global mode mean-pools patches."""
+        """Encode full unmasked images (..., H, W): (..., N, D) patch
+        features in local mode, their mean (..., D) in global mode."""
         if mode not in (MODE_GLOBAL, MODE_LOCAL):
             raise ValueError(f"forward_finetune: unknown mode {mode!r}")
         patches = patchify(image, self.cfg.patch)
         f_v = self.encode_image(patches, range(self.cfg.n_patches))
         if mode == MODE_LOCAL:
             return f_v
-        return ad.mean(f_v, axis=0)
+        return ad.mean(f_v, axis=-2)

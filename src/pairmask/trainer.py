@@ -7,13 +7,15 @@ the exact stream of the uninterrupted one and per-sample draws do not
 depend on how a batch is chunked. Gradients accumulate sample by sample
 into the parameter leaves (each sample's graph is built, differentiated
 and dropped before the next), which makes batch math identical however
-the samples are grouped.
+the samples are grouped. Evaluation is forward-only: it runs under
+``no_grad`` and stacks samples along a leading batch axis.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -54,6 +56,12 @@ STREAM_DATA = 3
 STREAM_INIT = 4     # consumed inside Model
 STREAM_EVAL = 5
 STREAM_PROBE = 6
+
+# Samples per batched forward pass in extract_features and
+# eval_descriptor_accuracy. At 8, a pass holds no more activations than
+# one training sample's graph, so peak memory does not grow; 16 or 32
+# run a few percent faster and hold 2-4x the memory.
+EVAL_CHUNK = 8
 
 
 class TrainingError(RuntimeError):
@@ -338,9 +346,12 @@ def pretrain(
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+def _atomic_write(path: Path, chunks: Sequence) -> None:
+    """Write bytes-like ``chunks`` one after another to a temp file, then rename."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)
 
 
@@ -363,19 +374,19 @@ def save_checkpoint(ckpt_dir, model: Model, opt: AdamW, step: int) -> None:
     chunks = []
     offset = 0
     for name, arr in entries:
+        # a view, not a copy, when the array is already contiguous little-endian
         arr_le = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-        raw = arr_le.tobytes()
         shape = ",".join(str(s) for s in arr.shape) or "scalar"
         lines.append(f"{name}\t{arr.dtype.name}\t{shape}\t{offset}")
-        chunks.append(raw)
-        offset += len(raw)
+        chunks.append(arr_le)
+        offset += arr_le.nbytes
 
     cfg_lines = [f"{f.name}={getattr(model.cfg, f.name)}" for f in fields(model.cfg)]
     cfg_lines += [f"opt.{f.name}={getattr(opt.cfg, f.name)}" for f in fields(opt.cfg)]
 
-    _atomic_write_bytes(ckpt_dir / "params.bin", b"".join(chunks))
-    _atomic_write_bytes(ckpt_dir / "config.txt", ("\n".join(cfg_lines) + "\n").encode())
-    _atomic_write_bytes(ckpt_dir / "manifest.tsv", ("\n".join(lines) + "\n").encode())
+    _atomic_write(ckpt_dir / "params.bin", chunks)
+    _atomic_write(ckpt_dir / "config.txt", [("\n".join(cfg_lines) + "\n").encode()])
+    _atomic_write(ckpt_dir / "manifest.tsv", [("\n".join(lines) + "\n").encode()])
 
 
 def load_checkpoint(ckpt_dir, model: Model, opt: AdamW) -> int:
@@ -432,9 +443,10 @@ def load_checkpoint(ckpt_dir, model: Model, opt: AdamW) -> int:
 
     for name, p in model.params.items():
         p.assign_(arrays[name])
+    # astype above made every array a fresh, writable copy
     for name in model.params:
-        opt.m[name] = arrays[f"adam.m.{name}"].copy()
-        opt.v[name] = arrays[f"adam.v.{name}"].copy()
+        opt.m[name] = arrays[f"adam.m.{name}"]
+        opt.v[name] = arrays[f"adam.v.{name}"]
     opt.t = adam_t
     return step
 
@@ -453,38 +465,60 @@ def eval_descriptor_accuracy(
     """Argmax accuracy on masked other-class descriptor tokens.
 
     Images are encoded fully visible; text masking replays a fixed
-    evaluation stream so repeated calls score the same predictions.
+    evaluation stream, one generator per doc index, so repeated calls
+    score the same predictions. Docs with other-class descriptors are
+    grouped by sequence length (no padding enters a batch) and run
+    without a graph, up to ``EVAL_CHUNK`` docs per batched forward pass.
     """
     cfg = model.cfg
+    by_length: dict = {}
+    for i, doc in enumerate(data.docs[: len(samples)]):
+        if any(s.polarity == corpus_mod.POLARITY_OTHER and s.token_indices for s in doc.spans):
+            by_length.setdefault(len(doc.seq), []).append(i)
+    chunks = [
+        group[start : start + EVAL_CHUNK]
+        for group in by_length.values()
+        for start in range(0, len(group), EVAL_CHUNK)
+    ]
     correct = 0
     total = 0
-    for i, (sample, doc) in enumerate(zip(samples, data.docs)):
-        if not any(s.polarity == corpus_mod.POLARITY_OTHER and s.token_indices for s in doc.spans):
-            continue
-        low = downsample(sample.image, cfg.sr_factor).astype(np.float32)
-        f_v = model.encode_image(patchify(low, cfg.patch), range(cfg.n_patches))
-        rng = np.random.default_rng([seed, STREAM_EVAL, i])
-        tplan = plan_text_mask(doc.seq, doc.spans, rng, ratio=cfg.text_mask_ratio)
-        masked = apply_text_mask(doc.seq, tplan, MASK_ID)
-        bundle = model.mscf_fuse(f_v, model.embed_text(masked.ids))
-        logits = model.decode_text(bundle.f_f).data
-        pred = logits.argmax(axis=1)
-        for pos in tplan.descriptor_oth:
-            total += 1
-            if pred[pos] == doc.seq.ids[pos]:
-                correct += 1
+    with ad.no_grad():
+        for chunk in chunks:
+            low = np.stack([downsample(samples[i].image, cfg.sr_factor).astype(np.float32) for i in chunk])
+            f_v = model.encode_image(patchify(low, cfg.patch), range(cfg.n_patches))
+            plans, ids = [], []
+            for i in chunk:
+                doc = data.docs[i]
+                rng = np.random.default_rng([seed, STREAM_EVAL, i])
+                plans.append(plan_text_mask(doc.seq, doc.spans, rng, ratio=cfg.text_mask_ratio))
+                ids.append(apply_text_mask(doc.seq, plans[-1], MASK_ID).ids)
+            bundle = model.mscf_fuse(f_v, model.embed_text(np.stack(ids)))
+            pred = model.decode_text(bundle.f_f).data.argmax(axis=-1)
+            for row, i, tplan in zip(pred, chunk, plans):
+                truth = data.docs[i].seq.ids
+                for pos in tplan.descriptor_oth:
+                    total += 1
+                    if row[pos] == truth[pos]:
+                        correct += 1
     if total == 0:
         raise ValueError("eval_descriptor_accuracy: no other-descriptor tokens in corpus")
     return correct / total
 
 
 def extract_features(model: Model, samples: Sequence[SynthSample]) -> np.ndarray:
-    """Mean-pooled encoder features per sample, (n, dim) float64."""
+    """Mean-pooled encoder features per sample, (n, dim) float64, in input order.
+
+    Runs without a graph, ``EVAL_CHUNK`` images per batched forward pass.
+    """
+    if not samples:
+        raise ValueError("extract_features: no samples")
     rows = []
-    for sample in samples:
-        low = downsample(sample.image, model.cfg.sr_factor).astype(np.float32)
-        rows.append(model.forward_finetune(low, mode="global").data.astype(np.float64))
-    return np.stack(rows)
+    with ad.no_grad():
+        for start in range(0, len(samples), EVAL_CHUNK):
+            chunk = samples[start : start + EVAL_CHUNK]
+            low = np.stack([downsample(s.image, model.cfg.sr_factor).astype(np.float32) for s in chunk])
+            rows.append(model.forward_finetune(low, mode="global").data.astype(np.float64))
+    return np.concatenate(rows)
 
 
 def _fit_logistic(x: np.ndarray, y: np.ndarray, l2: float = 1e-3) -> np.ndarray:
@@ -542,7 +576,9 @@ def linear_probe(
     for entity in entities:
         y = np.array([1.0 if s.labels.get(entity) == LABEL_PRESENT else 0.0 for s in samples])
         if shuffle_labels:
-            y = y[np.random.default_rng([seed, STREAM_PROBE, hash(entity) % 2**31]).permutation(n)]
+            # crc32, unlike str hash, is the same in every process
+            key = zlib.crc32(entity.encode("utf-8"))
+            y = y[np.random.default_rng([seed, STREAM_PROBE, key]).permutation(n)]
         y_tr, y_te = y[train_idx], y[test_idx]
         if len(np.unique(y_tr)) < 2 or len(np.unique(y_te)) < 2:
             continue
@@ -576,9 +612,10 @@ class ModelAttention:
     def __call__(self, sample: SynthSample) -> np.ndarray:
         cfg = self.model.cfg
         low = downsample(sample.image, cfg.sr_factor).astype(np.float32)
-        f_v = self.model.encode_image(patchify(low, cfg.patch), range(cfg.n_patches))
         seq = _truncate(tokenize(sample.report, self.vocab), cfg.max_text_len)
-        bundle = self.model.mscf_fuse(f_v, self.model.embed_text(seq.ids))
+        with ad.no_grad():
+            f_v = self.model.encode_image(patchify(low, cfg.patch), range(cfg.n_patches))
+            bundle = self.model.mscf_fuse(f_v, self.model.embed_text(seq.ids))
         t = bundle.f_t.data.mean(axis=0)
         v = bundle.f_v_local.data
         cos = (v @ t) / (np.linalg.norm(v, axis=1) * np.linalg.norm(t) + 1e-8)

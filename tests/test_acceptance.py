@@ -179,6 +179,25 @@ def _op_trial(name: str, rng: np.random.Generator) -> float:
         else:
             a, b = p((r, k)), p((k, c))
         return check(lambda _: sq(ad.matmul(a, b)), [a, b])
+    if name == "linear":
+        k = int(rng.integers(2, 5))
+        x = p(((2, r, c), (r, c), (c,))[int(rng.integers(3))])
+        w, b = p((c, k)), p((k,))
+        return check(lambda _: sq(ad.linear(x, w, b)), [x, w, b])
+    if name == "attention":
+        # self-attention, cross-attention with Lq != Lk, or either under
+        # a leading batch axis
+        heads, lk = int(rng.integers(1, 3)), r + 1
+        d = heads * int(rng.integers(1, 4))
+        lead = (2,) if rng.integers(2) else ()
+        query = p(lead + (r, d))
+        kv = query if rng.integers(2) else p(lead + (lk, d))
+        weights = [p((d, d)) if i % 2 == 0 else p((d,)) for i in range(8)]
+        # bk's true gradient is 0 (the softmax cancels a shift shared by
+        # all keys), so a relative error on it measures round-off only;
+        # tests/test_autodiff.py checks it in absolute terms
+        checked = [query] + ([] if kv is query else [kv]) + weights[:3] + weights[4:]
+        return check(lambda _: sq(ad.attention(query, kv, *weights, heads=heads)), checked)
     if name == "transpose":
         a = p((r, c, 2))
         return check(lambda _: sq(ad.transpose(a, (2, 0, 1))), [a])
@@ -253,7 +272,7 @@ _ALL_OPS = (
     "add", "sub", "mul", "scale", "matmul", "transpose", "reshape", "concat",
     "slice_axis", "take_rows", "embedding_lookup", "layer_normalize", "softmax",
     "gelu", "mean", "sum_all", "mse", "weighted_mse", "cross_entropy_with_logits",
-    "conv2d", "bilinear_upsample",
+    "conv2d", "bilinear_upsample", "linear", "attention",
 )
 
 

@@ -238,6 +238,51 @@ class TestGradients:
         m = ad.constant(np.random.default_rng(4).normal(size=(8, 10)), dtype=np.float64)
         check(lambda ts: ad.sum_all(ad.mul(ad.bilinear_upsample(ts[0]), m)), [x])
 
+    def test_linear_2d_batched_and_vector(self):
+        rng = np.random.default_rng(40)
+        w, b = t64(rng, 4, 3), t64(rng, 3)
+        for shape in ((5, 4), (2, 5, 4), (4,)):
+            x = t64(rng, *shape)
+            check(lambda ts: ad.sum_all(ad.mul(ad.linear(*ts), ad.linear(*ts))), [x, w, b])
+
+    @staticmethod
+    def _attention_inputs(rng, lead, lq, lk, d, self_attention):
+        query = t64(rng, *lead, lq, d)
+        kv = query if self_attention else t64(rng, *lead, lk, d)
+        weights = [t64(rng, d, d) if i % 2 == 0 else t64(rng, d) for i in range(8)]
+        return query, kv, weights
+
+    @pytest.mark.parametrize(
+        "lead, lq, lk, self_attention",
+        [((), 4, 4, True), ((), 3, 5, False), ((2,), 4, 4, True), ((2,), 3, 2, False)],
+        ids=["self", "cross", "batched-self", "batched-cross"],
+    )
+    def test_attention(self, lead, lq, lk, self_attention):
+        rng = np.random.default_rng(41)
+        query, kv, weights = self._attention_inputs(rng, lead, lq, lk, 6, self_attention)
+        target = ad.constant(rng.normal(size=(*lead, lq, 6)), dtype=np.float64)
+
+        def f(_):
+            return ad.sum_all(ad.mul(ad.attention(query, kv, *weights, heads=2), target))
+
+        # bk shifts every key of a query row by the same score, which the
+        # softmax cancels: its true gradient is 0, and a relative finite-
+        # difference error on 0 measures only round-off, so it is checked
+        # in absolute terms below
+        bk = weights[3]
+        inputs = [query] + ([] if self_attention else [kv]) + [w for w in weights if w is not bk]
+        check(f, inputs)
+        bk.zero_grad()
+        ad.backward(f(None))
+        assert np.abs(bk.grad).max() < 1e-12
+
+    def test_attention_self_has_one_input_edge(self):
+        rng = np.random.default_rng(42)
+        x, _, weights = self._attention_inputs(rng, (), 3, 3, 4, True)
+        out = ad.attention(x, x, *weights, heads=2)
+        assert out._parents[0] is x and x not in out._parents[1:]
+        assert len(out._vjps) == len(out._parents) == 9
+
     def test_grad_accumulates_across_graphs(self):
         x = ad.Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
         ad.backward(ad.sum_all(ad.scale(x, 2.0)))
@@ -275,8 +320,75 @@ class TestErrors:
         with pytest.raises(ad.ShapeError, match="conv2d"):
             ad.conv2d(x, w)
 
+    def test_linear_errors_name_the_input(self):
+        x, w, b = ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((4, 5))), ad.constant(np.zeros(5))
+        with pytest.raises(ad.ShapeError, match=r"linear: input x \(2, 3\).*weight w"):
+            ad.linear(x, w, b)
+        with pytest.raises(ad.ShapeError, match=r"linear: bias b \(3,\)"):
+            ad.linear(ad.constant(np.zeros((2, 4))), w, ad.constant(np.zeros(3)))
+        with pytest.raises(ad.ShapeError, match=r"linear: weight w must be 2-D"):
+            ad.linear(x, ad.constant(np.zeros(3)), b)
+
+    def test_attention_errors_name_the_input(self):
+        d = 4
+        weights = [ad.constant(np.zeros((d, d)) if i % 2 == 0 else np.zeros(d)) for i in range(8)]
+        x = ad.constant(np.zeros((3, d)))
+        bad = list(weights)
+        bad[2] = ad.constant(np.zeros((d, d + 1)))
+        with pytest.raises(ad.ShapeError, match=r"attention: wk \(4, 5\)"):
+            ad.attention(x, x, *bad, heads=2)
+        bad = list(weights)
+        bad[7] = ad.constant(np.zeros(d + 1))
+        with pytest.raises(ad.ShapeError, match=r"attention: bo \(5,\)"):
+            ad.attention(x, x, *bad, heads=2)
+        with pytest.raises(ad.ShapeError, match=r"attention: kv \(3, 5\) width"):
+            ad.attention(x, ad.constant(np.zeros((3, d + 1))), *weights, heads=2)
+        with pytest.raises(ad.ShapeError, match=r"leading dims of query \(2, 3, 4\) and kv \(3, 3, 4\)"):
+            ad.attention(ad.constant(np.zeros((2, 3, d))), ad.constant(np.zeros((3, 3, d))), *weights, heads=2)
+        with pytest.raises(ad.ShapeError, match=r"attention: query \(4,\)"):
+            ad.attention(ad.constant(np.zeros(d)), x, *weights, heads=2)
+        with pytest.raises(ad.ShapeError, match="heads 3"):
+            ad.attention(x, x, *weights, heads=3)
+
     def test_mixed_dtype_rejected(self):
         a = ad.constant(np.zeros((2, 2)), dtype=np.float32)
         b = ad.constant(np.zeros((2, 2)), dtype=np.float64)
         with pytest.raises(ad.ShapeError, match="dtype"):
             ad.add(a, b)
+
+
+class TestNoGrad:
+    def test_records_no_graph_and_refuses_backward(self):
+        w = ad.parameter(np.ones((3, 2)))
+        b = ad.parameter(np.zeros(2))
+        with ad.no_grad():
+            out = ad.sum_all(ad.linear(ad.constant(np.ones((4, 3))), w, b))
+        assert out._parents == () and out._vjps == () and not out.requires_grad
+        with pytest.raises(ad.GraphError, match="no_grad"):
+            ad.backward(out)
+        assert w.grad is None and b.grad is None
+
+    def test_nested_blocks_restore_the_outer_mode(self):
+        w = ad.parameter(np.ones(2))
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.scale(w, 2.0)._parents == ()
+        assert ad.scale(w, 2.0)._parents == (w,)
+
+    def test_mode_restored_after_an_exception(self):
+        w = ad.parameter(np.ones(2))
+        with pytest.raises(RuntimeError, match="inside"):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        loss = ad.sum_all(ad.scale(w, 2.0))
+        ad.backward(loss)
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0])
+
+    def test_graph_around_a_block_is_untouched(self):
+        w = ad.parameter(np.ones(2))
+        h = ad.scale(w, 3.0)
+        with ad.no_grad():
+            ad.scale(h, 5.0)
+        ad.backward(ad.sum_all(h))
+        np.testing.assert_array_equal(w.grad, [3.0, 3.0])

@@ -10,6 +10,8 @@ import pairmask.autodiff as ad
 from pairmask.corpus import MASK_ID
 from pairmask.masking import PatchMaskPlan, patchify, plan_patch_mask
 from pairmask.model import Model, ModelConfig, sinusoid_table
+from pairmask.synthgen import SynthSpec, gen_dataset
+from pairmask.trainer import prepare_training_data, sample_losses
 
 TINY = ModelConfig(
     image_size=8,
@@ -260,6 +262,153 @@ def test_forward_finetune_modes():
     assert np.allclose(global_.data, local.data.mean(axis=0), atol=1e-6)
     with pytest.raises(ValueError):
         m.forward_finetune(image, mode="pooled")
+
+
+def test_embed_text_guard_reads_the_last_axis():
+    m = tiny_model()
+    # 12 ids in all, but each row is 4 tokens: within max_text_len 6
+    assert m.embed_text(np.zeros((3, 4), dtype=np.int64)).shape == (3, 4, 8)
+    with pytest.raises(ValueError, match="7 tokens"):
+        m.embed_text(np.zeros((2, 7), dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# leading batch axes: a batch equals its samples run one at a time
+# ---------------------------------------------------------------------------
+
+# Batched rows go through one BLAS call per layer instead of one per
+# sample, which may round differently at float32; features are O(1).
+BATCH_ATOL = 1e-6
+
+
+def test_batched_text_and_fusion_match_per_sample():
+    m = tiny_model()
+    rng = np.random.default_rng(20)
+    ids = rng.integers(0, 12, size=(3, 5))
+    f_v = rng.normal(size=(3, 4, 8)).astype(np.float32)
+    batched = m.mscf_fuse(ad.constant(f_v), m.embed_text(ids))
+    logits = m.decode_text(batched.f_f).data
+    assert logits.shape == (3, 5, 12)
+    assert batched.f_v_global.shape == (3, 8) and batched.f_a_global.shape == (3, 1, 8)
+    for i in range(3):
+        one = m.mscf_fuse(ad.constant(f_v[i]), m.embed_text(ids[i]))
+        np.testing.assert_allclose(batched.f_f.data[i], one.f_f.data, rtol=0, atol=BATCH_ATOL)
+        np.testing.assert_allclose(logits[i], m.decode_text(one.f_f).data, rtol=0, atol=BATCH_ATOL)
+
+
+def test_batched_forward_finetune_matches_per_sample():
+    m = tiny_model()
+    images = np.random.default_rng(21).random((3, 8, 8)).astype(np.float32)
+    local = m.forward_finetune(images, mode="local").data
+    global_ = m.forward_finetune(images).data
+    assert local.shape == (3, 4, 8) and global_.shape == (3, 8)
+    for i in range(3):
+        np.testing.assert_allclose(local[i], m.forward_finetune(images[i], mode="local").data,
+                                   rtol=0, atol=BATCH_ATOL)
+        np.testing.assert_allclose(global_[i], m.forward_finetune(images[i]).data, rtol=0, atol=BATCH_ATOL)
+
+
+def test_decoder_takes_one_sample():
+    m = tiny_model()
+    plan = plan_patch_mask(4, np.random.default_rng(0), ratio=0.5)
+    with pytest.raises(ValueError, match="one sample"):
+        m.decode_image(ad.constant(np.zeros((2, 2, 8), dtype=np.float32)), plan)
+
+
+# ---------------------------------------------------------------------------
+# the fused attention node against the unfused primitive graph it replaced
+# ---------------------------------------------------------------------------
+
+# Gradients of the two graphs differ only by float32 round-off in a
+# different summation order; measured worst 2.5e-6 of a parameter's
+# largest gradient at the default shape.
+GRAD_RTOL = 2e-5
+# The true gradient of bk is 0 (the softmax cancels a shift shared by all
+# keys); both graphs return float32 round-off around it, near 1e-6 where
+# the other weight gradients are O(10) as in these tests.
+BK_ATOL = 1e-5
+
+
+def reference_attention(model, prefix, query, kv):
+    """Multi-head attention from primitive ops, as the model built it before fusion."""
+    p, h = model.params, model.cfg.heads
+
+    def split(x):
+        L, d = x.shape
+        return ad.transpose(ad.reshape(x, (L, h, d // h)), (1, 0, 2))
+
+    q = ad.add(ad.matmul(query, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
+    k = ad.add(ad.matmul(kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
+    v = ad.add(ad.matmul(kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
+    scale = 1.0 / math.sqrt(model.cfg.dim // h)
+    scores = ad.scale(ad.matmul(split(q), ad.transpose(split(k), (0, 2, 1))), scale)
+    ctx = ad.matmul(ad.softmax(scores, axis=-1), split(v))
+    hh, L, hd = ctx.shape
+    joined = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (L, hh * hd))
+    return ad.add(ad.matmul(joined, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+
+
+def assert_grads_match(fused: dict, reference: dict) -> None:
+    for name, want in reference.items():
+        got = fused[name]
+        err = float(np.abs(got - want).max())
+        if name.endswith(".bk"):
+            assert err <= BK_ATOL, f"{name}: abs err {err:.1e}"
+        else:
+            scale = float(np.abs(want).max())
+            assert err <= GRAD_RTOL * scale, f"{name}: err {err:.1e} vs grad scale {scale:.1e}"
+
+
+def _attention_model():
+    cfg = ModelConfig(image_size=16, patch=4, dim=32, encoder_depth=1, decoder_depth=1,
+                      text_decoder_depth=1, heads=4, max_text_len=16, vocab_size=12, sr_channels=2)
+    m = Model(cfg, seed=3)
+    rng = np.random.default_rng(4)
+    for name, t in m.params.items():   # nonzero biases, so every term is live
+        if ".attn." in name:
+            t.assign_(rng.normal(0.0, 0.3, size=t.shape))
+    return m
+
+
+@pytest.mark.parametrize("lq, lk, self_attention", [(16, 16, True), (12, 16, False)], ids=["self", "cross"])
+def test_fused_attention_matches_unfused_reference(lq, lk, self_attention):
+    m = _attention_model()
+    rng = np.random.default_rng(5)
+    weight = ad.constant(rng.normal(size=(lq, 32)).astype(np.float32))
+    grads = {}
+    outputs = {}
+    for path, attention in (("fused", m._attention), ("reference", lambda *a: reference_attention(m, *a))):
+        m.zero_grad()
+        query = ad.parameter(np.random.default_rng(6).normal(size=(lq, 32)))
+        kv = query if self_attention else ad.parameter(np.random.default_rng(7).normal(size=(lk, 32)))
+        out = attention("enc.0.attn", query, kv)
+        ad.backward(ad.sum_all(ad.mul(out, weight)))
+        outputs[path] = out.data
+        grads[path] = {name: t.grad for name, t in m.params.items() if name.startswith("enc.0.attn.")}
+        grads[path]["query"], grads[path]["kv"] = query.grad, kv.grad
+    assert np.array_equal(outputs["fused"], outputs["reference"])
+    assert_grads_match(grads["fused"], grads["reference"])
+
+
+def test_model_losses_match_unfused_reference(monkeypatch):
+    samples = gen_dataset(SynthSpec(canvas=64, p_positive=0.3, seed=1), 4)
+    data = prepare_training_data(samples)
+    cfg = ModelConfig(image_size=32, patch=8, dim=32, encoder_depth=2, decoder_depth=1,
+                      text_decoder_depth=1, heads=4, max_text_len=64, sr_channels=4,
+                      vocab_size=len(data.vocab))
+    m = Model(cfg, seed=0)
+    totals, grads = {}, {}
+    for path in ("fused", "reference"):
+        if path == "reference":
+            monkeypatch.setattr(Model, "_attention", reference_attention)
+        m.zero_grad()
+        total = sample_losses(m, samples[0], data.docs[0], data.factors,
+                              np.random.default_rng([0, 1]), np.random.default_rng([0, 2])).total
+        ad.backward(total)
+        totals[path] = total.data
+        grads[path] = {name: t.grad for name, t in m.params.items()}
+    assert np.array_equal(totals["fused"], totals["reference"])
+    assert_grads_match(grads["fused"], grads["reference"])
 
 
 # ---------------------------------------------------------------------------

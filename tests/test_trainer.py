@@ -1,14 +1,32 @@
 """Optimizer math, data preparation, the step loop, checkpoints, and
 the evaluation probes."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import pairmask.autodiff as ad
-from pairmask.corpus import SOURCE_CONCAT, SOURCE_ORIGINAL
+from pairmask.corpus import (
+    DEFAULT_BETA,
+    DEFAULT_ENTITY_LEXICON,
+    MASK_ID,
+    POLARITY_OTHER,
+    SOURCE_CONCAT,
+    SOURCE_ORIGINAL,
+    annotate,
+    tokenize,
+)
+from pairmask.masking import apply_text_mask, patchify, plan_text_mask
 from pairmask.model import Model, ModelConfig
-from pairmask.synthgen import LABEL_ABSENT, LABEL_PRESENT, SynthSample, SynthSpec, gen_dataset
+from pairmask.synthgen import LABEL_ABSENT, LABEL_PRESENT, SynthSample, SynthSpec, downsample, gen_dataset
 from pairmask.trainer import (
+    EVAL_CHUNK,
+    STREAM_EVAL,
     AdamW,
     ModelAttention,
     OptimizerConfig,
@@ -316,9 +334,120 @@ def test_load_rejects_shape_mismatch_listing_names(tmp_path):
         load_checkpoint(tmp_path / "ck", other, AdamW(other.params))
 
 
+def test_loaded_adam_moments_are_fresh_writable_arrays(tmp_path):
+    samples, data, model = small_world(n=4)
+    opt = AdamW(model.params)
+    pretrain(model, samples, data, TrainConfig(steps=1, batch_size=2, seed=0, log_every=0), opt=opt)
+    save_checkpoint(tmp_path / "ck", model, opt, step=1)
+    fresh = Model(model.cfg, seed=1)
+    fresh_opt = AdamW(fresh.params)
+    load_checkpoint(tmp_path / "ck", fresh, fresh_opt)
+    moments = list(fresh_opt.m.values()) + list(fresh_opt.v.values())
+    params = [p.data for p in fresh.params.values()]
+    for i, buf in enumerate(moments):
+        assert buf.flags.writeable
+        others = params + moments[:i] + moments[i + 1 :]
+        assert not any(np.may_share_memory(buf, other) for other in others)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+
+# Batched rows go through one BLAS call per layer instead of one per
+# sample, which may round differently at float32; features and logits
+# are O(1).
+BATCH_ATOL = 1e-5
+
+
+def per_sample_eval(model, samples, data, seed):
+    """The per-sample eval loop batching replaced: accuracy, and logits per scored doc."""
+    cfg = model.cfg
+    correct = total = 0
+    logits = {}
+    for i, (sample, doc) in enumerate(zip(samples, data.docs)):
+        if not any(s.polarity == POLARITY_OTHER and s.token_indices for s in doc.spans):
+            continue
+        low = downsample(sample.image, cfg.sr_factor).astype(np.float32)
+        f_v = model.encode_image(patchify(low, cfg.patch), range(cfg.n_patches))
+        rng = np.random.default_rng([seed, STREAM_EVAL, i])
+        tplan = plan_text_mask(doc.seq, doc.spans, rng, ratio=cfg.text_mask_ratio)
+        masked = apply_text_mask(doc.seq, tplan, MASK_ID)
+        logits[i] = model.decode_text(model.mscf_fuse(f_v, model.embed_text(masked.ids)).f_f).data
+        pred = logits[i].argmax(axis=1)
+        for pos in tplan.descriptor_oth:
+            total += 1
+            correct += int(pred[pos] == doc.seq.ids[pos])
+    return correct / total, logits
+
+
+def test_batched_eval_matches_per_sample_loop(monkeypatch):
+    samples, data, model = small_world(n=3 * EVAL_CHUNK)
+    # every other doc keeps only its original report: two lengths, two groups
+    docs = [
+        doc if i % 2 else annotate(tokenize(sample.report, data.vocab), DEFAULT_ENTITY_LEXICON, beta=DEFAULT_BETA)
+        for i, (sample, doc) in enumerate(zip(samples, data.docs))
+    ]
+    data = dataclasses.replace(data, docs=docs)
+    want_acc, want_logits = per_sample_eval(model, samples, data, seed=3)
+    lengths = {len(doc.seq) for doc in docs}
+    assert len(lengths) == 2
+    assert max(sum(len(docs[i].seq) == n for i in want_logits) for n in lengths) > EVAL_CHUNK
+
+    calls = []
+    original = Model.decode_text
+
+    def recording(self, f_f):
+        out = original(self, f_f)
+        calls.append(out.data)
+        return out
+
+    monkeypatch.setattr(Model, "decode_text", recording)
+    got_acc = eval_descriptor_accuracy(model, samples, data, seed=3)
+    assert got_acc == want_acc
+    for n in lengths:
+        # within a length group, chunks keep the input order
+        got = np.concatenate([c for c in calls if c.shape[-2] == n])
+        want = np.stack([want_logits[i] for i in sorted(want_logits) if len(docs[i].seq) == n])
+        np.testing.assert_allclose(got, want, rtol=0, atol=BATCH_ATOL)
+
+
+def test_extract_features_matches_per_sample_loop():
+    samples, data, model = small_world(n=EVAL_CHUNK + 5)
+    feats = extract_features(model, samples)
+    want = np.stack([
+        model.forward_finetune(downsample(s.image, model.cfg.sr_factor).astype(np.float32)).data
+        for s in samples
+    ]).astype(np.float64)
+    assert feats.shape == want.shape and feats.dtype == np.float64
+    np.testing.assert_allclose(feats, want, rtol=0, atol=BATCH_ATOL)
+
+
+def test_forward_only_evaluation_builds_no_graph(monkeypatch):
+    samples, data, model = small_world(n=6)
+    bundles = []
+    original = Model.mscf_fuse
+
+    def recording(self, f_v, e_t):
+        bundles.append(original(self, f_v, e_t))
+        return bundles[-1]
+
+    monkeypatch.setattr(Model, "mscf_fuse", recording)
+    eval_descriptor_accuracy(model, samples, data)
+    ModelAttention(model, data.vocab)(samples[0])
+    assert bundles and all(b.f_f._parents == () and b.f_v_local._parents == () for b in bundles)
+    assert all(p.grad is None for p in model.params.values())
+
+
+def test_model_attention_leaves_the_training_graph_intact():
+    samples, data, model = small_world(n=4)
+    provider = ModelAttention(model, data.vocab)
+    total = sample_losses(
+        model, samples[0], data.docs[0], data.factors,
+        np.random.default_rng(0), np.random.default_rng(1), attention=provider,
+    ).total
+    ad.backward(total)
+    assert all(model.params[name].grad is not None for name in ("patch_embed.w", "enc.0.attn.wq", "sr.conv1.w"))
 
 
 def test_eval_descriptor_accuracy_bounded_and_deterministic():
@@ -359,6 +488,32 @@ def test_linear_probe_shuffled_labels_near_chance():
     feats[:, 3] += 5.0 * y
     result = linear_probe(feats, samples, ["pneumonia"], seed=0, shuffle_labels=True)
     assert 0.2 <= result.per_entity["pneumonia"] <= 0.8
+
+
+_SHUFFLED_PROBE = """
+import numpy as np
+from pairmask.synthgen import SynthSpec, gen_dataset
+from pairmask.trainer import linear_probe
+samples = gen_dataset(SynthSpec(p_positive=0.5, seed=1), 80)
+entities = sorted({e for s in samples for e in s.labels})
+feats = np.random.default_rng(2).normal(size=(80, 8))
+r = linear_probe(feats, samples, entities, seed=0, shuffle_labels=True)
+print(sorted(r.per_entity.items()), r.macro_accuracy)
+"""
+
+
+def test_linear_probe_shuffle_is_the_same_in_every_process():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(hash_seed: str) -> str:
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", _SHUFFLED_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert run("1") == run("2")
 
 
 def test_linear_probe_skips_single_class_entities():
