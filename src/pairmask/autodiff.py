@@ -14,8 +14,21 @@ outputs; reductions keep numpy's fixed sequential order.
 Two fused operators keep graphs small. ``linear`` is ``x @ w + b`` as one
 node, and ``attention`` is a whole multi-head attention (four
 projections, head split and join, softmax, both matmuls) as one node.
-Both take any leading batch axes ``(..., L, D)``. The vjps of a fused
-node share one backward computation, memoised on the incoming gradient.
+The vjps of a fused node share one backward computation, memoised on the
+incoming gradient.
+
+Batches: in ``(..., L, D)`` inputs, axis -2 holds one sample's rows and
+any axes before it index samples. Every operator computes each sample's
+slice with the same numpy call that sample would get on its own (stacked
+matrix products, never rows folded across samples), and reduces a
+weight's gradient within each sample first, then over the samples in
+slot order. A batched graph therefore gives the same bits as building,
+differentiating and dropping one graph per sample.
+
+To keep a batch's graph small in memory, cheap intermediates (the GELU
+gate, the normalized rows, the attention projections, convolution
+windows) are recomputed in backward rather than saved, and ``backward``
+releases each node's edges as soon as they have run.
 
 Inside ``with no_grad():`` operators record no parents and no vjps, so a
 forward-only pass builds no graph; ``backward`` refuses such a result.
@@ -98,7 +111,7 @@ class Tensor:
         self.grad = None
 
     def assign_(self, new_data: np.ndarray) -> None:
-        if self._parents:
+        if self._parents or self._spent:
             raise GraphError("assign_ is only legal on leaf tensors")
         new_data = np.ascontiguousarray(new_data, dtype=self.data.dtype)
         if new_data.shape != self.data.shape:
@@ -180,6 +193,51 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _slot_sum(stack: np.ndarray, ndim: int) -> np.ndarray:
+    """Sum per-sample gradients over the samples, in slot order.
+
+    ``stack`` is (..., *shape) with ``shape`` of rank ``ndim``; the
+    leading axes index samples in C order. The result equals adding the
+    samples' gradients into a leaf one at a time. numpy sums the outer
+    axis in that sequential order, except when each sample's gradient is
+    a single number, where it sums pairwise; that case loops.
+    """
+    stack = stack.reshape((-1,) + stack.shape[stack.ndim - ndim :])
+    if stack[0].size > 1:
+        return stack.sum(axis=0)
+    return _running_sum(stack)
+
+
+def _running_sum(grads) -> np.ndarray:
+    """``((g0 + g1) + g2) + ...``: gradients added one at a time, in order."""
+    total = None
+    for grad in grads:
+        total = grad if total is None else total + grad
+    return total
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``x^T g`` per sample, (..., L, Din) and (..., L, Dout) -> (Din, Dout)."""
+    if x.ndim == 2:
+        return x.T @ g
+    return _slot_sum(x.swapaxes(-1, -2) @ g, 2)
+
+
+def _row_sum(g: np.ndarray) -> np.ndarray:
+    """Sum over each sample's rows (axis -2), then over the samples."""
+    if g.ndim == 1:
+        return g
+    if g.ndim == 2:
+        return g.sum(axis=0)
+    return _slot_sum(g.sum(axis=-2), 1)
+
+
+def _lead_index(idx: np.ndarray) -> tuple:
+    """Index tuple that pairs ``idx`` (..., K) with the leading axes it shares."""
+    mesh = np.ix_(*(np.arange(n) for n in idx.shape[:-1]))
+    return tuple(m[..., None] for m in mesh) + (idx,)
+
+
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
@@ -197,10 +255,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
         "add",
     )
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -249,8 +303,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map of the last axis, ``x @ w + b``: (..., Din) -> (..., Dout).
 
-    Leading axes are folded into the rows of one matrix product, so a
-    batch costs one node and one BLAS call.
+    One node for a whole batch. Each sample's rows (axis -2) go through
+    their own matrix product, and ``w``'s and ``b``'s gradients are
+    reduced per sample, then over samples in slot order.
     """
     _check_same_dtype("linear", x, w, b)
     if w.ndim != 2:
@@ -260,15 +315,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: input x {x.shape} does not end in weight w's {din} rows")
     if b.shape != (dout,):
         raise ShapeError(f"linear: bias b {b.shape} vs weight w {w.shape}, need ({dout},)")
-    x2 = x.data.reshape(-1, din)
+    x2 = x.data if x.ndim >= 2 else x.data.reshape(1, din)
+    rows = x2.shape[:-1] + (dout,)
     data = (x2 @ w.data + b.data).reshape(x.shape[:-1] + (dout,))
     return _make(
         data,
         (x, w, b),
         (
-            lambda g: (g.reshape(-1, dout) @ w.data.T).reshape(x.shape),
-            lambda g: x2.T @ g.reshape(-1, dout),
-            lambda g: g.reshape(-1, dout).sum(axis=0),
+            lambda g: (g.reshape(rows) @ w.data.T).reshape(x.shape),
+            lambda g: _weight_grad(x2, g.reshape(rows)),
+            lambda g: _row_sum(g.reshape(rows)),
         ),
         "linear",
     )
@@ -286,9 +342,9 @@ def attention(
     tensor twice for self-attention. Each projection is ``x @ w + b``
     with w (D, D); heads split the width into ``heads`` blocks, and the
     output is ``softmax(q k^T / sqrt(D/heads)) v`` joined and projected
-    by ``wo``, ``bo``: (..., Lq, D). The vjp saves only the softmax row
-    max and row sum and recomputes the probabilities from them
-    (FlashAttention, arXiv 2205.14135).
+    by ``wo``, ``bo``: (..., Lq, D). The node saves only the softmax row
+    max and row sum; the vjp recomputes the projections and, from those
+    statistics, the probabilities (FlashAttention, arXiv 2205.14135).
     """
     weights = {"wq": wq, "bq": bq, "wk": wk, "bk": bk, "wv": wv, "bv": bv, "wo": wo, "bo": bo}
     _check_same_dtype("attention", query, kv, *weights.values())
@@ -311,12 +367,12 @@ def attention(
 
     def project(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
         """(..., L, D) -> heads (..., h, L, hd)."""
-        y = x.reshape(-1, d) @ w.data + b.data
+        y = x @ w.data + b.data
         return y.reshape(x.shape[:-1] + (heads, hd)).swapaxes(-3, -2)
 
     def join(h: np.ndarray) -> np.ndarray:
-        """Heads (..., h, L, hd) -> rows (n, D), leading axes folded."""
-        return h.swapaxes(-3, -2).reshape(-1, d)
+        """Heads (..., h, L, hd) -> rows (..., L, D)."""
+        return h.swapaxes(-3, -2).reshape(h.shape[:-3] + (h.shape[-2], d))
 
     qh, kh, vh = project(query.data, wq, bq), project(kv.data, wk, bk), project(kv.data, wv, bv)
     # one (..., h, Lq, Lk) buffer goes scores -> exp -> probabilities in place
@@ -327,27 +383,28 @@ def attention(
     np.exp(probs, out=probs)
     row_sum = probs.sum(axis=-1, keepdims=True)
     probs /= row_sum
-    ctx = join(probs @ vh)
-    del probs
-    data = (ctx @ wo.data + bo.data).reshape(lead + (lq, d))
+    data = join(probs @ vh) @ wo.data + bo.data
 
     def grads(g: np.ndarray) -> tuple:
-        g2 = g.reshape(-1, d)
+        # the projections, probabilities and context are recomputed with
+        # the forward's expressions, so they equal what it had
+        qh, kh, vh = project(query.data, wq, bq), project(kv.data, wk, bk), project(kv.data, wv, bv)
         probs = np.exp((qh @ kh.swapaxes(-1, -2)) * scale - row_max) / row_sum
-        gctx = (g2 @ wo.data.T).reshape(lead + (lq, heads, hd)).swapaxes(-3, -2)
+        ctx = join(probs @ vh)
+        gctx = (g @ wo.data.T).reshape(lead + (lq, heads, hd)).swapaxes(-3, -2)
         gp = gctx @ vh.swapaxes(-1, -2)
         gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
-        out = {"wo": ctx.T @ g2, "bo": g2.sum(axis=0)}
+        out = {"wo": _weight_grad(ctx, g), "bo": _row_sum(g)}
         dx = {}
         for tag, x, gh in (
             ("q", query, gs @ kh),
             ("k", kv, gs.swapaxes(-1, -2) @ qh),
             ("v", kv, probs.swapaxes(-1, -2) @ gctx),
         ):
-            gh2 = join(gh)
-            dx[tag] = (gh2 @ weights[f"w{tag}"].data.T).reshape(x.shape)
-            out[f"w{tag}"] = x.data.reshape(-1, d).T @ gh2
-            out[f"b{tag}"] = gh2.sum(axis=0)
+            gh = join(gh)
+            dx[tag] = gh @ weights[f"w{tag}"].data.T
+            out[f"w{tag}"] = _weight_grad(x.data, gh)
+            out[f"b{tag}"] = _row_sum(gh)
         inputs = (dx["q"] + dx["k"] + dx["v"],) if kv is query else (dx["q"], dx["k"] + dx["v"])
         return inputs + tuple(out[name] for name in weights)
 
@@ -422,24 +479,61 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
-    """Gather rows along axis 0; duplicate indices accumulate in backward."""
+    """Gather rows; duplicate indices accumulate in backward, in index order.
+
+    1-D ``indices`` (K,) pick along axis 0 of ``a``. Batched ``indices``
+    (B, K) pick each sample's own rows along axis 1 of ``a`` (B, N, ...):
+    ``out[b] = a[b][indices[b]]``. In general the leading axes of
+    ``indices`` must match those of ``a``.
+    """
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"take_rows: indices must be 1-D, got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"take_rows: index out of range for {a.shape[0]} rows")
+    axis = idx.ndim - 1
+    if idx.ndim < 1 or a.ndim <= axis or a.shape[:axis] != idx.shape[:-1]:
+        raise ShapeError(f"take_rows: indices {idx.shape} do not index the rows of {a.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[axis]):
+        raise ShapeError(f"take_rows: index out of range for {a.shape[axis]} rows")
+    index = _lead_index(idx)
     shape = a.shape
 
     def vjp(g: np.ndarray) -> np.ndarray:
         out = np.zeros(shape, dtype=g.dtype)
-        np.add.at(out, idx, g)
+        np.add.at(out, index, g)
         return out
 
-    return _make(a.data[idx].copy(), (a,), (vjp,), "take_rows")
+    return _make(a.data[index], (a,), (vjp,), "take_rows")
+
+
+def gather_sum(x: Tensor, indices: Sequence) -> Tensor:
+    """Per-sample sums of selected entries: x (..., L) -> (...).
+
+    ``indices`` holds one index list per sample, in C order of the
+    leading axes; lists may differ in length, and an empty one sums to
+    0. Each sample's value is ``x[b][idx].sum()``, the sum of a gather.
+    """
+    idx = [np.asarray(i, dtype=np.int64).reshape(-1) for i in indices]
+    if x.ndim < 1 or len(idx) != int(np.prod(x.shape[:-1])):
+        raise ShapeError(f"gather_sum: {len(idx)} index lists for x {x.shape}, need one per sample")
+    rows = x.data.reshape(-1, x.shape[-1])
+    for i in idx:
+        if i.size and (i.min() < 0 or i.max() >= rows.shape[1]):
+            raise ShapeError(f"gather_sum: index out of range for {rows.shape[1]} entries")
+    data = np.array([row[i].sum() for row, i in zip(rows, idx)], dtype=x.dtype).reshape(x.shape[:-1])
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        out = np.zeros(rows.shape, dtype=g.dtype)
+        for row, i, gi in zip(out, idx, g.reshape(-1)):
+            np.add.at(row, i, gi)
+        return out.reshape(x.shape)
+
+    return _make(data, (x,), (vjp,), "gather_sum")
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Row lookup into an embedding table, shape [V, D] + ids [..., L] -> [..., L, D]."""
+    """Row lookup into an embedding table, shape [V, D] + ids [..., L] -> [..., L, D].
+
+    With batched ids (..., L), each sample's table gradient is formed on
+    its own and the samples' gradients are summed in slot order.
+    """
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim < 1:
         raise ShapeError(f"embedding_lookup: ids must be at least 1-D, got {idx.shape}")
@@ -450,15 +544,19 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     shape = table.shape
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        out = np.zeros(shape, dtype=g.dtype)
-        np.add.at(out, idx, g)
-        return out
+        out = np.zeros(idx.shape[:-1] + shape, dtype=g.dtype)
+        np.add.at(out, _lead_index(idx), g)
+        return _slot_sum(out, 2)
 
-    return _make(table.data[idx].copy(), (table,), (vjp,), "embedding_lookup")
+    return _make(table.data[idx], (table,), (vjp,), "embedding_lookup")
 
 
 def layer_normalize(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """LayerNorm over the last axis with learned gain and bias."""
+    """LayerNorm over the last axis with learned gain and bias.
+
+    Saves the row means and inverse deviations only; the vjps recompute
+    the centred and normalized rows with the forward's expressions.
+    """
     n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(f"layer_normalize: gain/bias {gain.shape}/{bias.shape} vs last dim {n}")
@@ -467,12 +565,10 @@ def layer_normalize(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     d = x.data - mu
     var = (d * d).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = d * inv
-    data = gain.data * xhat + bias.data
-
-    lead = tuple(range(x.ndim - 1))
+    data = gain.data * (d * inv) + bias.data
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
+        d = x.data - mu
         dxhat = g * gain.data
         dvar = (dxhat * d).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
         dmu = -(dxhat.sum(axis=-1, keepdims=True)) * inv
@@ -483,8 +579,8 @@ def layer_normalize(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
         (x, gain, bias),
         (
             vjp_x,
-            lambda g: (g * xhat).sum(axis=lead),
-            lambda g: g.sum(axis=lead),
+            lambda g: _row_sum(g * ((x.data - mu) * inv)),
+            _row_sum,
         ),
         "layer_normalize",
     )
@@ -503,19 +599,31 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (x,), (vjp,), "softmax")
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
-    phi = x.data * _INV_SQRT2
+def _gelu_gate(x: np.ndarray) -> np.ndarray:
+    """Phi(x), the standard normal CDF, built in one buffer."""
+    phi = x * _INV_SQRT2
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
-    data = x.data * phi
+    return phi
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact (erf-based) GELU. Keeps only its input; the vjp recomputes the gate."""
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        density = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return g * (phi + x.data * density)
+        # g * (Phi(x) + x * phi(x)), in two buffers
+        t = -0.5 * x.data
+        t *= x.data
+        np.exp(t, out=t)
+        t *= _INV_SQRT2PI
+        t *= x.data
+        out = _gelu_gate(x.data)
+        out += t
+        out *= g
+        return out
 
-    return _make(data, (x,), (vjp,), "gelu")
+    return _make(x.data * _gelu_gate(x.data), (x,), (vjp,), "gelu")
 
 
 def mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -540,115 +648,159 @@ def sum_all(x: Tensor) -> Tensor:
     return _make(data, (x,), (lambda g: np.broadcast_to(g, shape).copy(),), "sum_all")
 
 
+def _sample_axes(x: np.ndarray) -> tuple:
+    """The last two axes: one sample of a per-sample loss."""
+    return tuple(range(max(x.ndim - 2, 0), x.ndim))
+
+
 def mse(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all elements."""
+    """Mean squared error per sample.
+
+    The mean runs over the last two axes; axes before them index
+    samples, so (H, W) gives a scalar and (B, H, W) gives (B,).
+    """
     if pred.shape != target.shape:
         raise ShapeError(f"mse: shapes {pred.shape} vs {target.shape}")
     _check_same_dtype("mse", pred, target)
     diff = pred.data - target.data
-    n = diff.size
-    data = np.asarray((diff * diff).mean(), dtype=pred.data.dtype)
+    axes = _sample_axes(diff)
+    n = int(np.prod([diff.shape[a] for a in axes]))
+    data = np.asarray((diff * diff).mean(axis=axes), dtype=pred.data.dtype)
+    per = data.shape + (1,) * len(axes)
     return _make(
         data,
         (pred, target),
-        (lambda g: (2.0 / n) * g * diff, lambda g: (-2.0 / n) * g * diff),
+        (
+            lambda g: (2.0 / n) * g.reshape(per) * diff,
+            lambda g: (-2.0 / n) * g.reshape(per) * diff,
+        ),
         "mse",
     )
 
 
 def weighted_mse(pred: Tensor, target: Tensor, weights: np.ndarray, eps: float = 1e-8) -> Tensor:
-    """Weighted squared error: sum(w * (pred-target)^2) / (sum(w) + eps).
+    """Weighted squared error per sample: sum(w * (pred-target)^2) / (sum(w) + eps).
 
-    ``weights`` is a constant array (no gradient path through it).
+    Sums run over the last two axes, as in ``mse``. ``weights`` is a
+    constant array (no gradient path through it).
     """
     w = weights.data if isinstance(weights, Tensor) else np.asarray(weights)
     if pred.shape != target.shape or w.shape != pred.shape:
         raise ShapeError(f"weighted_mse: shapes {pred.shape}/{target.shape}/{w.shape}")
     if np.any(w < 0):
         raise ValueError("weighted_mse: negative weights")
-    w = w.astype(pred.data.dtype, copy=False)
+    dtype = pred.data.dtype
+    w = w.astype(dtype, copy=False)
+    axes = _sample_axes(pred.data)
+    denom = w.sum(axis=axes).astype(np.float64) + eps
     diff = pred.data - target.data
-    denom = float(w.sum()) + eps
-    data = np.asarray((w * diff * diff).sum() / denom, dtype=pred.data.dtype)
+    data = np.asarray((w * diff * diff).sum(axis=axes) / denom.astype(dtype), dtype=dtype)
+    per = data.shape + (1,) * len(axes)
+    coef = (2.0 / denom).astype(dtype)
     return _make(
         data,
         (pred, target),
         (
-            lambda g: (2.0 / denom) * g * w * diff,
-            lambda g: (-2.0 / denom) * g * w * diff,
+            lambda g: (coef * g).reshape(per) * w * (pred.data - target.data),
+            lambda g: (-coef * g).reshape(per) * w * (pred.data - target.data),
         ),
         "weighted_mse",
     )
 
 
 def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
-    """Per-row negative log likelihood, shape [L, V] + [L] ids -> [L].
+    """Per-row negative log likelihood, shape [..., L, V] + [..., L] ids -> [..., L].
 
     Uses max-subtracted logsumexp; finite logits give finite output.
     """
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy_with_logits: logits must be 2-D, got {logits.shape}")
+    if logits.ndim < 2:
+        raise ShapeError(f"cross_entropy_with_logits: logits must be (..., L, V), got {logits.shape}")
     idx = np.asarray(targets, dtype=np.int64)
-    if idx.shape != (logits.shape[0],):
+    if idx.shape != logits.shape[:-1]:
         raise ShapeError(
-            f"cross_entropy_with_logits: targets {idx.shape} vs logits rows {logits.shape[0]}"
+            f"cross_entropy_with_logits: targets {idx.shape} vs logits rows {logits.shape[:-1]}"
         )
-    if idx.size and (idx.min() < 0 or idx.max() >= logits.shape[1]):
+    if idx.size and (idx.min() < 0 or idx.max() >= logits.shape[-1]):
         raise ShapeError("cross_entropy_with_logits: target id out of vocabulary range")
     z = logits.data
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     e = np.exp(z - zmax)
-    sumexp = e.sum(axis=1, keepdims=True)
-    lse = (np.log(sumexp) + zmax).squeeze(1)
-    rows = np.arange(idx.size)
-    data = lse - z[rows, idx]
+    sumexp = e.sum(axis=-1, keepdims=True)
+    lse = (np.log(sumexp) + zmax)[..., 0]
+    data = lse - np.take_along_axis(z, idx[..., None], axis=-1)[..., 0]
     probs = e / sumexp
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        grad = probs * g[:, None]
-        grad[rows, idx] -= g
+        grad = probs * g[..., None]
+        flat = grad.reshape(-1, grad.shape[-1])
+        flat[np.arange(flat.shape[0]), idx.reshape(-1)] -= g.reshape(-1)
         return grad
 
     return _make(data, (logits,), (vjp,), "cross_entropy_with_logits")
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """3x3 convolution, stride 1, zero padding 1: [Cin,H,W] -> [Cout,H,W]."""
-    _check_same_dtype("conv2d", x, w, *( (b,) if b is not None else () ))
-    if x.ndim != 3 or w.ndim != 4 or w.shape[2:] != (3, 3):
-        raise ShapeError(f"conv2d: x {x.shape}, w {w.shape}; need [Cin,H,W] and [Cout,Cin,3,3]")
-    cin, h, wd = x.shape
+    """3x3 convolution, stride 1, zero padding 1: [Cin,H,W] -> [Cout,H,W].
+
+    A batch [B,Cin,H,W] -> [B,Cout,H,W] runs sample by sample through the
+    same einsum. No im2col windows are kept: the weight vjp rebuilds each
+    sample's windows, and sums the samples' gradients in slot order.
+    """
+    _check_same_dtype("conv2d", x, w, *((b,) if b is not None else ()))
+    if x.ndim not in (3, 4) or w.ndim != 4 or w.shape[2:] != (3, 3):
+        raise ShapeError(
+            f"conv2d: x {x.shape}, w {w.shape}; need [Cin,H,W] or [B,Cin,H,W] and [Cout,Cin,3,3]"
+        )
+    cin, h, wd = x.shape[-3:]
     cout = w.shape[0]
     if w.shape[1] != cin:
         raise ShapeError(f"conv2d: channel mismatch, x has {cin}, w expects {w.shape[1]}")
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"conv2d: bias {b.shape} vs {cout} output channels")
 
-    xp = np.zeros((cin, h + 2, wd + 2), dtype=x.data.dtype)
-    xp[:, 1 : h + 1, 1 : wd + 1] = x.data
-    # cols[k] is the input window for kernel tap k = 3*di + dj.  (9, Cin, H, W)
-    cols = np.stack([xp[:, di : di + h, dj : dj + wd] for di in range(3) for dj in range(3)])
+    samples = x.data.reshape((-1, cin, h, wd))
     w9 = w.data.reshape(cout, cin, 9)
-    data = np.einsum("ock,kchw->ohw", w9, cols)
-    if b is not None:
-        data = data + b.data[:, None, None]
 
-    def vjp_x(g: np.ndarray) -> np.ndarray:
-        gcols = np.einsum("ock,ohw->kchw", w9, g)
-        gxp = np.zeros_like(xp)
+    def windows(xs: np.ndarray) -> np.ndarray:
+        """cols[k] is the input window for kernel tap k = 3*di + dj: (9, Cin, H, W)."""
+        xp = np.zeros((cin, h + 2, wd + 2), dtype=xs.dtype)
+        xp[:, 1 : h + 1, 1 : wd + 1] = xs
+        return np.stack([xp[:, di : di + h, dj : dj + wd] for di in range(3) for dj in range(3)])
+
+    data = np.empty((len(samples), cout, h, wd), dtype=x.data.dtype)
+    for out, xs in zip(data, samples):
+        out[...] = np.einsum("ock,kchw->ohw", w9, windows(xs))
+        if b is not None:
+            out += b.data[:, None, None]
+    data = data.reshape(x.shape[:-3] + (cout, h, wd))
+
+    def per_sample(g: np.ndarray):
+        return g.reshape((-1, cout, h, wd))
+
+    def sample_x_grad(gs: np.ndarray) -> np.ndarray:
+        gcols = np.einsum("ock,ohw->kchw", w9, gs)
+        gxp = np.zeros((cin, h + 2, wd + 2), dtype=gs.dtype)
         for k in range(9):
             di, dj = divmod(k, 3)
             gxp[:, di : di + h, dj : dj + wd] += gcols[k]
         return gxp[:, 1 : h + 1, 1 : wd + 1]
 
-    def vjp_w(g: np.ndarray) -> np.ndarray:
-        return np.einsum("ohw,kchw->ock", g, cols).reshape(cout, cin, 3, 3)
+    def vjp_x(g: np.ndarray) -> np.ndarray:
+        gx = np.empty(samples.shape, dtype=g.dtype)
+        for out, gs in zip(gx, per_sample(g)):
+            out[...] = sample_x_grad(gs)
+        return gx.reshape(x.shape)
 
     parents = [x, w]
-    vjps = [vjp_x, vjp_w]
+    vjps = [
+        vjp_x,
+        lambda g: _running_sum(
+            np.einsum("ohw,kchw->ock", gs, windows(xs)) for gs, xs in zip(per_sample(g), samples)
+        ).reshape(cout, cin, 3, 3),
+    ]
     if b is not None:
         parents.append(b)
-        vjps.append(lambda g: g.sum(axis=(1, 2)))
+        vjps.append(lambda g: _running_sum(gs.sum(axis=(1, 2)) for gs in per_sample(g)))
     return _make(data, tuple(parents), tuple(vjps), "conv2d")
 
 
@@ -663,38 +815,40 @@ def _bilinear_grids(n: int, factor: int):
 
 
 def bilinear_upsample(x: Tensor, factor: int = 2) -> Tensor:
-    """Bilinear 2x upsampling of a single-channel image [H,W] -> [fH,fW].
+    """Bilinear upsampling of single-channel images (..., H, W) -> (..., fH, fW).
 
     Half-pixel-center sampling; blend weights sum to one per output pixel,
-    so constant inputs are preserved exactly.
+    so constant inputs are preserved exactly. Leading axes index samples.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"bilinear_upsample: need 2-D image, got {x.shape}")
+    if x.ndim < 2:
+        raise ShapeError(f"bilinear_upsample: need (..., H, W) images, got {x.shape}")
     if factor < 1:
         raise ShapeError(f"bilinear_upsample: factor {factor} < 1")
-    h, w = x.shape
+    h, w = x.shape[-2:]
     i0, i1, ti = _bilinear_grids(h, factor)
     j0, j1, tj = _bilinear_grids(w, factor)
     ti = ti[:, None].astype(x.data.dtype)
     tj = tj[None, :].astype(x.data.dtype)
-    d = x.data
-    data = (
-        d[np.ix_(i0, j0)] * (1 - ti) * (1 - tj)
-        + d[np.ix_(i1, j0)] * ti * (1 - tj)
-        + d[np.ix_(i0, j1)] * (1 - ti) * tj
-        + d[np.ix_(i1, j1)] * ti * tj
+    # (gather index, row weight, column weight) per source pixel
+    lead = (slice(None),) * (x.ndim - 2)
+    taps = (
+        (lead + (i0[:, None], j0[None, :]), 1 - ti, 1 - tj),
+        (lead + (i1[:, None], j0[None, :]), ti, 1 - tj),
+        (lead + (i0[:, None], j1[None, :]), 1 - ti, tj),
+        (lead + (i1[:, None], j1[None, :]), ti, tj),
     )
+    data = None
+    for index, wi, wj in taps:
+        term = x.data[index] * wi * wj
+        data = term if data is None else data + term
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        gx = np.zeros((h, w), dtype=g.dtype)
-        np.add.at(gx, (i0[:, None], j0[None, :]), g * (1 - ti) * (1 - tj))
-        np.add.at(gx, (i1[:, None], j0[None, :]), g * ti * (1 - tj))
-        np.add.at(gx, (i0[:, None], j1[None, :]), g * (1 - ti) * tj)
-        np.add.at(gx, (i1[:, None], j1[None, :]), g * ti * tj)
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        for index, wi, wj in taps:
+            np.add.at(gx, index, g * wi * wj)
         return gx
 
     return _make(data, (x,), (vjp,), "bilinear_upsample")
-
 
 # ---------------------------------------------------------------------------
 # backward pass
@@ -713,6 +867,11 @@ def _topo_order(root: Tensor) -> list:
             continue
         if id(node) in seen:
             continue
+        if node._spent:
+            raise GraphError(
+                f"backward: the graph reaches a {node._op} node whose edges an earlier "
+                "backward released; rebuild the graph"
+            )
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -724,9 +883,11 @@ def _topo_order(root: Tensor) -> list:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires_grad leaf.
 
-    The loss must be scalar. Each graph may be walked once; a second
-    backward through the same loss raises ``GraphError`` (gradients from
-    the first walk would silently double otherwise).
+    The loss must be scalar. Each graph may be walked once: as each node's
+    vjps run, the node drops its parents and vjps (freeing what they
+    hold) and is marked spent. A second backward through the same loss,
+    or through a graph that reaches a spent node, raises ``GraphError``
+    (gradients would otherwise double or silently go missing).
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -734,17 +895,21 @@ def backward(loss: Tensor) -> None:
         raise GraphError("backward: loss has no graph (built under no_grad, or from constants only)")
     if loss._spent:
         raise GraphError("backward already ran on this graph; rebuild the graph or reset")
-    loss._spent = True
 
     order = _topo_order(loss)
     grads: dict = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
+        parents, vjps = node._parents, node._vjps
+        if parents:
+            node._parents = node._vjps = ()
+            node._spent = True
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad and not node._parents:
+        if node.requires_grad and not parents:
             node.grad = g if node.grad is None else node.grad + g
-        for parent, vjp in zip(node._parents, node._vjps):
+        for parent, vjp in zip(parents, vjps):
             if not parent.requires_grad:
                 continue
             pg = vjp(g)
@@ -753,15 +918,6 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-
-
-def grad_leaf(loss: Tensor, leaf: Tensor) -> np.ndarray:
-    """Convenience: run backward and return a copy of ``leaf.grad``."""
-    leaf.zero_grad()
-    backward(loss)
-    if leaf.grad is None:
-        return np.zeros_like(leaf.data)
-    return leaf.grad.copy()
 
 
 # ---------------------------------------------------------------------------

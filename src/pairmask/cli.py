@@ -338,6 +338,25 @@ def cmd_gradcheck(args) -> int:
         lambda _: ad.mean(ad.mul(ad.attention(xs, kv, *aw, heads=2), ad.attention(xs, kv, *aw, heads=2))),
         [xs, kv] + aw[:3] + aw[4:],
     )
+    # batched trials come last so the trials above keep their inputs
+    imgs = ad.parameter(rng.normal(size=(3, 1, 5, 5)), dtype=np.float64)
+    worst["conv2d batched"] = ad.grad_check(
+        lambda _: ad.mean(ad.mul(ad.conv2d(imgs, w, cb), ad.conv2d(imgs, w, cb))), [imgs, w, cb]
+    )
+    us = ad.parameter(rng.normal(size=(3, 4, 5)), dtype=np.float64)
+    worst["bilinear batched"] = ad.grad_check(
+        lambda _: ad.mean(ad.mul(ad.bilinear_upsample(us), ad.bilinear_upsample(us))), [us]
+    )
+    rows = ad.parameter(rng.normal(size=(3, 4, 2)), dtype=np.float64)
+    picks = rng.integers(0, 4, size=(3, 5))
+    worst["take_rows batched"] = ad.grad_check(
+        lambda _: ad.mean(ad.mul(ad.take_rows(rows, picks), ad.take_rows(rows, picks))), [rows]
+    )
+    vals = ad.parameter(rng.normal(size=(3, 4)), dtype=np.float64)
+    lists = [rng.integers(0, 4, size=k) for k in (3, 0, 1)]
+    worst["gather_sum"] = ad.grad_check(
+        lambda _: ad.mean(ad.mul(ad.gather_sum(vals, lists), ad.gather_sum(vals, lists))), [vals]
+    )
 
     failed = False
     for name, err in worst.items():

@@ -173,21 +173,6 @@ def tokenize(text: str, vocab: Vocabulary, max_len: Optional[int] = None) -> Tok
     return TokenSeq(surfaces=surfaces, ids=ids, real_len=real_len)
 
 
-def pad_seq(seq: TokenSeq, max_len: int, vocab: Vocabulary) -> TokenSeq:
-    """Truncate/pad a sequence to exactly ``max_len`` tokens."""
-    surfaces = list(seq.surfaces[:max_len])
-    ids = seq.ids[:max_len].copy()
-    real_len = min(seq.real_len, max_len)
-    if len(surfaces) < max_len:
-        extra = max_len - len(surfaces)
-        surfaces += [PAD_TOKEN] * extra
-        ids = np.concatenate([ids, np.full(extra, vocab.pad_id, dtype=np.int64)])
-    boundary = seq.boundary
-    if boundary is not None and boundary > max_len:
-        boundary = max_len
-    return TokenSeq(surfaces=surfaces, ids=ids, source=seq.source, boundary=boundary, real_len=real_len)
-
-
 def fold_plural(word: str, lexicon: frozenset) -> Optional[str]:
     """Map a surface to its lexicon word, stripping one trailing s."""
     if word in lexicon:
@@ -263,13 +248,6 @@ def extract_descriptors(
 
 def classify_polarity_words(words: Sequence[str], negation_terms: frozenset = DEFAULT_NEGATION_TERMS) -> str:
     return POLARITY_NEGATIVE if any(w in negation_terms for w in words) else POLARITY_OTHER
-
-
-def classify_polarity(
-    span: DescriptorSpan, seq: TokenSeq, negation_terms: frozenset = DEFAULT_NEGATION_TERMS
-) -> str:
-    """Negative iff any span word is a negation term."""
-    return classify_polarity_words(span.surfaces(seq), negation_terms)
 
 
 @dataclass

@@ -160,9 +160,6 @@ class DistilledReport:
     raw: str
     provenance: str
 
-    def text(self) -> str:
-        return " ".join(s.render() for s in self.sentences)
-
 
 _WORD_RE = corpus._TOKEN_RE
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .masking import PatchMaskPlan, TextMaskPlan, patchify
+from .masking import PatchMaskPlan, TextMaskPlan, patchify, patchify_t
 
 DEFAULT_LAMBDA_NEG = 0.05
 
@@ -30,7 +30,6 @@ class RebalanceFactors:
 
     lambda_neg: float
     lambda_oth: float
-    n_random: int
     n_neg: int
     n_oth: int
     lambda_neg_exact: Fraction
@@ -47,9 +46,7 @@ class RebalanceFactors:
         )
 
 
-def compute_rebalance(
-    n_neg: int, n_oth: int, lambda_neg: float = DEFAULT_LAMBDA_NEG, n_random: int = 0
-) -> RebalanceFactors:
+def compute_rebalance(n_neg: int, n_oth: int, lambda_neg: float = DEFAULT_LAMBDA_NEG) -> RebalanceFactors:
     """Solve for the other-descriptor weight given the negation weight.
 
     With n_a = n_neg + n_oth descriptor tokens total, the constraint
@@ -71,7 +68,6 @@ def compute_rebalance(
     return RebalanceFactors(
         lambda_neg=lambda_neg,
         lambda_oth=float(lo),
-        n_random=n_random,
         n_neg=n_neg,
         n_oth=n_oth,
         lambda_neg_exact=ln,
@@ -79,65 +75,71 @@ def compute_rebalance(
     )
 
 
-def unit_factors(n_neg: int, n_oth: int, n_random: int = 0) -> RebalanceFactors:
+def unit_factors(n_neg: int, n_oth: int) -> RebalanceFactors:
     """Uniform weights; the ablation baseline for the re-weighted loss."""
     one = Fraction(1)
-    return RebalanceFactors(1.0, 1.0, n_random, n_neg, n_oth, one, one)
+    return RebalanceFactors(1.0, 1.0, n_neg, n_oth, one, one)
 
 
-def _patch_rows(image: Tensor, patch: int) -> Tensor:
-    """Differentiable row-major patchify: (H, W) -> (grid*grid, patch*patch)."""
-    h, w = image.shape
-    if h != w or h % patch:
-        raise ValueError(f"_patch_rows: image {image.shape} not square multiple of {patch}")
-    g = h // patch
-    tiles = ad.transpose(ad.reshape(image, (g, patch, g, patch)), (0, 2, 1, 3))
-    return ad.reshape(tiles, (g * g, patch * patch))
-
-
-def loss_mim(recon: Tensor, target: np.ndarray, plan: PatchMaskPlan, patch: int) -> Tensor:
+def loss_mim(recon: Tensor, target: np.ndarray, plan, patch: int) -> Tensor:
     """Mean squared error over masked patches only.
 
     Both images are cut into the same row-major patch grid and only the
     rows in ``plan.masked`` enter the average, so visible-patch pixels
-    cannot influence the value or the gradient.
+    cannot influence the value or the gradient. One plan and (H, W)
+    images give a scalar; a sequence of plans and (B, H, W) images give
+    the (B,) per-sample losses.
     """
-    if not plan.masked:
+    single = isinstance(plan, PatchMaskPlan)
+    plans = [plan] if single else list(plan)
+    if any(not p.masked for p in plans):
         raise ValueError("loss_mim: plan masks no patches")
-    idx = np.asarray(plan.masked, dtype=np.int64)
-    pred_rows = ad.take_rows(_patch_rows(recon, patch), idx)
-    target_rows = patchify(target, patch)[idx]
+    if len({len(p.masked) for p in plans}) > 1:
+        raise ValueError("loss_mim: plans mask different numbers of patches")
+    idx = np.array([p.masked for p in plans], dtype=np.int64)
+    if single:
+        idx = idx[0]
+    pred_rows = ad.take_rows(patchify_t(recon, patch), idx)
+    target_rows = np.take_along_axis(patchify(target, patch), idx[..., None], axis=-2)
     return ad.mse(pred_rows, ad.constant(target_rows, dtype=recon.data.dtype))
 
 
-def loss_mlm(logits: Tensor, target_ids: np.ndarray, plan: TextMaskPlan, factors: RebalanceFactors) -> Tensor:
+def loss_mlm(logits: Tensor, target_ids: np.ndarray, plan, factors: RebalanceFactors) -> Tensor:
     """Weighted cross-entropy over masked token positions.
 
     Random positions weigh 1, negation descriptors ``lambda_neg``, other
     descriptors ``lambda_oth``; the sum is normalized by the total
-    weight so the scale is comparable across sequences.
+    weight so the scale is comparable across sequences. One plan and
+    (L, V) logits give a scalar; a sequence of plans and (B, L, V)
+    logits give the (B,) per-sample losses.
     """
-    if logits.shape[0] != plan.seq_len:
-        raise ValueError(f"loss_mlm: {logits.shape[0]} logit rows vs plan length {plan.seq_len}")
-    masked = plan.masked
-    if not masked:
-        raise ValueError("loss_mlm: plan masks no tokens")
+    single = isinstance(plan, TextMaskPlan)
+    plans = [plan] if single else list(plan)
+    if logits.ndim != (2 if single else 3) or logits.shape[:-2] != (() if single else (len(plans),)):
+        raise ValueError(f"loss_mlm: logits {logits.shape} for {len(plans)} plan(s)")
+    for p in plans:
+        if logits.shape[-2] != p.seq_len:
+            raise ValueError(f"loss_mlm: {logits.shape[-2]} logit rows vs plan length {p.seq_len}")
+        if not p.masked:
+            raise ValueError("loss_mlm: plan masks no tokens")
     nll = ad.cross_entropy_with_logits(logits, np.asarray(target_ids, dtype=np.int64))
 
     total = None
-    weight_sum = 0.0
-    for positions, lam in (
-        (plan.random, 1.0),
-        (plan.descriptor_neg, factors.lambda_neg),
-        (plan.descriptor_oth, factors.lambda_oth),
+    weight_sum = np.zeros(len(plans))
+    for kind, lam in (
+        ("random", 1.0),
+        ("descriptor_neg", factors.lambda_neg),
+        ("descriptor_oth", factors.lambda_oth),
     ):
-        if not positions:
+        positions = [getattr(p, kind) for p in plans]
+        if not any(positions):
             continue
-        part = ad.sum_all(ad.take_rows(nll, np.asarray(positions, dtype=np.int64)))
-        part = ad.scale(part, lam)
+        # a sample without this class adds an exact zero to its sum
+        part = ad.scale(ad.gather_sum(nll, positions), lam)
         total = part if total is None else ad.add(total, part)
-        weight_sum += lam * len(positions)
-    return ad.scale(total, 1.0 / weight_sum)
+        weight_sum += [lam * len(pos) for pos in positions]
+    inverse = (1.0 / weight_sum).reshape(total.shape)
+    return ad.mul(total, ad.constant(inverse, dtype=logits.data.dtype))
 
 
 def loss_sr(sr_output: Tensor, target: np.ndarray, attention: np.ndarray) -> Tensor:
@@ -145,6 +147,8 @@ def loss_sr(sr_output: Tensor, target: np.ndarray, attention: np.ndarray) -> Ten
 
     Zero-attention pixels contribute nothing; a uniform all-ones map
     recovers plain MSE up to the stabilizing epsilon in the divisor.
+    (H, W) arrays give a scalar, (B, H, W) arrays the (B,) per-sample
+    losses.
     """
     if sr_output.shape != target.shape or sr_output.shape != attention.shape:
         raise ValueError(
@@ -173,9 +177,11 @@ class LossBundle:
 
 
 def loss_total(mim: Tensor, mlm: Tensor, sr: Tensor) -> LossBundle:
-    """Sum the three objectives, refusing silently broken terms."""
+    """Sum the three objectives, per sample for batched terms, refusing
+    silently broken terms."""
     for name, term in (("mim", mim), ("mlm", mlm), ("sr", sr)):
-        v = term.item()
-        if not np.isfinite(v):
-            raise FloatingPointError(f"loss_total: {name} term is {v}")
+        bad = np.flatnonzero(~np.isfinite(term.data))
+        if bad.size:
+            where = f" in batch slot {bad[0]}" if term.ndim else ""
+            raise FloatingPointError(f"loss_total: {name} term is {term.data.flat[bad[0]]}{where}")
     return LossBundle(mim=mim, mlm=mlm, sr=sr, total=ad.add(ad.add(mim, mlm), sr))

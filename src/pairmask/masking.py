@@ -6,6 +6,9 @@ then an exact-count 75% of the remaining non-pad positions is drawn
 uniformly without replacement as the random set. Patch masking is the
 same exact-count draw over the patch grid. Plans are pure functions of
 (inputs, rng state), so a seeded generator reproduces them bit for bit.
+
+Patchify comes twice: on numpy arrays for inputs and targets, and on
+autodiff tensors for model outputs. Both take leading batch axes.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .corpus import POLARITY_NEGATIVE, TokenSeq
 
 DEFAULT_TEXT_MASK_RATIO = 0.75
@@ -142,9 +146,36 @@ def patchify(image: np.ndarray, patch: int) -> np.ndarray:
 
 
 def unpatchify(patches: np.ndarray, height: int, width: int, patch: int) -> np.ndarray:
-    """Inverse of :func:`patchify`."""
+    """Inverse of :func:`patchify` for one image."""
     gh, gw = height // patch, width // patch
     if patches.shape != (gh * gw, patch * patch):
         raise ValueError(f"unpatchify: got {patches.shape}, expected {(gh * gw, patch * patch)}")
     tiles = patches.reshape(gh, gw, patch, patch).transpose(0, 2, 1, 3)
     return tiles.reshape(height, width)
+
+
+def _tile_axes(lead: int) -> tuple:
+    """Swap the two middle axes of (..., a, b, c, d): the patch/pixel shuffle."""
+    return tuple(range(lead)) + (lead, lead + 2, lead + 1, lead + 3)
+
+
+def patchify_t(image: ad.Tensor, patch: int) -> ad.Tensor:
+    """Differentiable :func:`patchify`: (..., H, W) -> (..., N, patch*patch)."""
+    if image.ndim < 2:
+        raise ValueError(f"patchify_t: image {image.shape} must be (..., H, W)")
+    *lead, h, w = image.shape
+    if h % patch or w % patch:
+        raise ValueError(f"patchify_t: image {image.shape} not divisible by patch {patch}")
+    gh, gw = h // patch, w // patch
+    tiles = ad.transpose(ad.reshape(image, (*lead, gh, patch, gw, patch)), _tile_axes(len(lead)))
+    return ad.reshape(tiles, (*lead, gh * gw, patch * patch))
+
+
+def unpatchify_t(patches: ad.Tensor, height: int, width: int, patch: int) -> ad.Tensor:
+    """Differentiable inverse of :func:`patchify_t`: (..., N, patch*patch) -> (..., H, W)."""
+    gh, gw = height // patch, width // patch
+    *lead, n, p2 = patches.shape
+    if (n, p2) != (gh * gw, patch * patch):
+        raise ValueError(f"unpatchify_t: got {patches.shape}, expected (..., {gh * gw}, {patch * patch})")
+    tiles = ad.transpose(ad.reshape(patches, (*lead, gh, gw, patch, patch)), _tile_axes(len(lead)))
+    return ad.reshape(tiles, (*lead, height, width))

@@ -11,11 +11,13 @@ dotted name so optimizers and checkpoints can address it. Projections
 are fused ``linear`` nodes and each attention is one fused ``attention``
 node, for training and evaluation alike.
 
-The encoder, the text path and the fine-tuning path take any leading
-batch axes: ``(..., N, D)`` patch features and ``(..., L)`` token ids,
-with every sample in a batch sharing one set of positions. The image
-decoder and the SR head take one sample, because each sample has its
-own patch mask plan.
+Every method takes a leading batch axis: ``(B, N, D)`` patch features,
+``(B, L)`` token ids, ``(B, H, W)`` images. Visible patches can sit at
+different positions in each sample (MAE's gather, arXiv 2111.06377):
+``encode_image`` takes per-sample positions, and the image decoder takes
+one ``PatchMaskPlan`` per sample. A single plan describes a single
+sample. Because the autodiff operators keep each sample's arithmetic as
+it is on its own, a batch gives the same bits as its samples one by one.
 
 Fusion wiring: token features attend over local patch features
 (cross-attention, no residual) while a linear projection of the
@@ -27,13 +29,12 @@ be ablated without disturbing the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .masking import PatchMaskPlan, patchify
+from .masking import PatchMaskPlan, patchify, patchify_t, unpatchify_t
 
 MODE_GLOBAL = "global"
 MODE_LOCAL = "local"
@@ -205,26 +206,29 @@ class Model:
         h = ad.linear(ad.gelu(h), p[f"{prefix}.ff.w2"], p[f"{prefix}.ff.b2"])
         return ad.add(x, h)
 
-    def _positions(self, positions: Sequence[int]) -> Tensor:
+    def _positions(self, positions) -> Tensor:
+        """Position encodings for indices of any shape: (..., D)."""
         return ad.constant(self.pos_table[np.asarray(positions, dtype=np.int64)], dtype=self.dtype)
 
     # ---- vision ----
 
-    def encode_image(self, patches: np.ndarray, positions: Sequence[int]) -> Tensor:
+    def encode_image(self, patches: np.ndarray, positions) -> Tensor:
         """Encode visible patches given their grid positions: (..., N_vis, D).
 
-        ``patches`` is (..., N_vis, patch^2); every sample in a batch
-        shares ``positions``. Position encodings are looked up per given
-        index, so the output is equivariant to permuting (patches,
-        positions) together.
+        ``patches`` is (..., N_vis, patch^2). ``positions`` is (N_vis,),
+        shared by every sample, or one row per sample, (..., N_vis).
+        Position encodings are looked up per given index, so the output
+        is equivariant to permuting (patches, positions) together.
         """
-        positions = list(positions)
+        positions = np.asarray(positions, dtype=np.int64)
         if patches.ndim < 2:
             raise ValueError(f"encode_image: patches {patches.shape} must be (..., N_vis, patch^2)")
-        if len(positions) != patches.shape[-2]:
+        if positions.ndim < 1 or positions.shape[-1] != patches.shape[-2]:
             raise ValueError(
-                f"encode_image: {patches.shape[-2]} patches vs {len(positions)} positions"
+                f"encode_image: {patches.shape[-2]} patches vs positions {positions.shape}"
             )
+        if positions.ndim > 1 and positions.shape != patches.shape[:-1]:
+            raise ValueError(f"encode_image: positions {positions.shape} vs patches {patches.shape}")
         if patches.shape[-1] != self.cfg.patch * self.cfg.patch:
             raise ValueError(f"encode_image: patch rows {patches.shape[-1]} != patch^2")
         x = ad.constant(patches, dtype=self.dtype)
@@ -234,30 +238,46 @@ class Model:
             x = self._block(f"enc.{i}", x)
         return self._ln("enc.norm", x)
 
-    def decoder_sequence(self, f_v: Tensor, plan: PatchMaskPlan) -> Tensor:
-        """Pre-decoder rows of one sample: encoded patches scattered to
-        their positions, mask token + position encoding everywhere else."""
-        n = plan.n_patches
-        if n != self.cfg.n_patches:
-            raise ValueError(f"decoder_sequence: plan has {n} patches, config {self.cfg.n_patches}")
-        if f_v.ndim != 2:
-            raise ValueError(f"decoder_sequence: f_v {f_v.shape} must be one sample's (N_vis, D)")
-        n_vis = len(plan.visible)
-        if f_v.shape[0] != n_vis:
-            raise ValueError(f"decoder_sequence: {f_v.shape[0]} encoded rows vs {n_vis} visible")
-        mask_rows = ad.take_rows(self.params["mask_token"], np.zeros(n - n_vis, dtype=np.int64))
-        unordered = ad.concat([f_v, mask_rows], axis=0)
-        perm = np.empty(n, dtype=np.int64)
-        for slot, patch_idx in enumerate(plan.visible):
-            perm[patch_idx] = slot
-        for slot, patch_idx in enumerate(plan.masked):
-            perm[patch_idx] = n_vis + slot
+    def decoder_sequence(self, f_v: Tensor, plan) -> Tensor:
+        """Pre-decoder rows: encoded patches scattered to their positions,
+        mask token + position encoding everywhere else.
 
-        ordered = ad.take_rows(unordered, perm)
+        ``plan`` is one sample's ``PatchMaskPlan`` with ``f_v``
+        (N_vis, D), or a sequence of plans, one per sample, with ``f_v``
+        (B, N_vis, D); every plan shows the same number of patches.
+        """
+        single = isinstance(plan, PatchMaskPlan)
+        plans = [plan] if single else list(plan)
+        n = self.cfg.n_patches
+        if single and f_v.ndim != 2:
+            raise ValueError(f"decoder_sequence: f_v {f_v.shape} must be one sample's (N_vis, D)")
+        if not single and (f_v.ndim != 3 or f_v.shape[0] != len(plans)):
+            raise ValueError(f"decoder_sequence: f_v {f_v.shape} must be (B, N_vis, D) for {len(plans)} plans")
+        n_vis = f_v.shape[-2]
+        for p in plans:
+            if p.n_patches != n:
+                raise ValueError(f"decoder_sequence: plan has {p.n_patches} patches, config {n}")
+            if len(p.visible) != n_vis:
+                raise ValueError(f"decoder_sequence: {n_vis} encoded rows vs {len(p.visible)} visible")
+        # perm[b, patch] is the row of [f_v[b]; mask rows] that lands at patch
+        perm = np.empty((len(plans), n), dtype=np.int64)
+        for row, p in zip(perm, plans):
+            row[list(p.visible)] = np.arange(n_vis)
+            row[list(p.masked)] = n_vis + np.arange(n - n_vis)
+        token = self.params["mask_token"]
+        if single:
+            perm = perm[0]
+        else:
+            # one copy of the token per sample, so its gradient is summed
+            # within each sample first, then over samples in slot order
+            token = ad.take_rows(token, np.zeros(len(plans), dtype=np.int64))
+            token = ad.reshape(token, (len(plans), 1, self.cfg.dim))
+        mask_rows = ad.take_rows(token, np.zeros(perm.shape[:-1] + (n - n_vis,), dtype=np.int64))
+        ordered = ad.take_rows(ad.concat([f_v, mask_rows], axis=-2), perm)
         return ad.add(ordered, self._positions(range(n)))
 
-    def decode_image(self, f_v: Tensor, plan: PatchMaskPlan) -> Tensor:
-        """Reconstruct one sample's full low-res image: (H, W)."""
+    def decode_image(self, f_v: Tensor, plan) -> Tensor:
+        """Reconstruct full low-res images: (H, W) for one plan, (B, H, W) for a sequence of plans."""
         x = self.decoder_sequence(f_v, plan)
         for i in range(self.cfg.decoder_depth):
             x = self._block(f"dec.{i}", x)
@@ -266,25 +286,21 @@ class Model:
         return self.unpatchify_t(pred)
 
     def unpatchify_t(self, patches: Tensor) -> Tensor:
-        """Differentiable inverse of row-major patchify."""
-        g, p = self.cfg.grid, self.cfg.patch
-        tiles = ad.reshape(patches, (g, g, p, p))
-        return ad.reshape(ad.transpose(tiles, (0, 2, 1, 3)), (g * p, g * p))
+        """Differentiable inverse of row-major patchify: (..., N, patch^2) -> (..., H, W)."""
+        size = self.cfg.image_size
+        return unpatchify_t(patches, size, size, self.cfg.patch)
 
     def patchify_t(self, image: Tensor) -> Tensor:
-        """Differentiable row-major patchify of a (H, W) tensor."""
-        g, p = self.cfg.grid, self.cfg.patch
-        tiles = ad.transpose(ad.reshape(image, (g, p, g, p)), (0, 2, 1, 3))
-        return ad.reshape(tiles, (g * g, p * p))
+        """Differentiable row-major patchify: (..., H, W) -> (..., N, patch^2)."""
+        return patchify_t(image, self.cfg.patch)
 
     def sr_head(self, low: Tensor) -> Tensor:
-        """Residual super-resolution: bilinear 2x plus a learned correction."""
+        """Residual super-resolution: bilinear 2x plus a learned correction, (..., H, W) -> (..., 2H, 2W)."""
         up = ad.bilinear_upsample(low, self.cfg.sr_factor)
-        h, w = up.shape
-        r = ad.reshape(up, (1, h, w))
+        r = ad.reshape(up, up.shape[:-2] + (1,) + up.shape[-2:])
         hid = ad.gelu(ad.conv2d(r, self.params["sr.conv1.w"], self.params["sr.conv1.b"]))
         out = ad.conv2d(hid, self.params["sr.conv2.w"], self.params["sr.conv2.b"])
-        return ad.add(up, ad.reshape(out, (h, w)))
+        return ad.add(up, ad.reshape(out, up.shape))
 
     # ---- text ----
 

@@ -42,7 +42,6 @@ DEFAULT_ENTITY_SHAPES = {
 
 LABEL_PRESENT = "present"
 LABEL_ABSENT = "absent"
-LABEL_UNCERTAIN = "uncertain"  # reserved; the generator never emits it
 
 # 5x5 binomial blur kernel, rows/cols [1, 4, 6, 4, 1] / 16.
 _BINOMIAL_1D = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0

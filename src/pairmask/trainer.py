@@ -3,12 +3,21 @@ loop, checkpoints, and the two evaluation probes.
 
 Randomness is stateless. Every draw comes from a generator seeded as
 ``default_rng([seed, stream, step, slot])``, so a resumed run replays
-the exact stream of the uninterrupted one and per-sample draws do not
-depend on how a batch is chunked. Gradients accumulate sample by sample
-into the parameter leaves (each sample's graph is built, differentiated
-and dropped before the next), which makes batch math identical however
-the samples are grouped. Evaluation is forward-only: it runs under
-``no_grad`` and stacks samples along a leading batch axis.
+the exact stream of the uninterrupted one and per-slot draws do not
+depend on how a batch is chunked.
+
+A training step builds one autodiff graph for its whole batch, runs one
+backward and drops the graph. The autodiff operators compute each
+sample's slice exactly as they would for that sample alone and sum
+parameter gradients over samples in slot order, so the step is
+bit-identical to building, differentiating and dropping one graph per
+slot (``sample_losses`` is that batch-of-one call), however the samples
+are chunked. One exception: reports of different token lengths run the
+text path in one group per length, and the text parameters (``tok_embed``,
+``fuse.*``, ``txtdec.*``) then sum their gradients group by group rather
+than in slot order, which changes float32 rounding, not the math.
+Evaluation is forward-only: it runs under ``no_grad`` and stacks samples
+along a leading batch axis.
 """
 
 from __future__ import annotations
@@ -58,9 +67,9 @@ STREAM_EVAL = 5
 STREAM_PROBE = 6
 
 # Samples per batched forward pass in extract_features and
-# eval_descriptor_accuracy. At 8, a pass holds no more activations than
-# one training sample's graph, so peak memory does not grow; 16 or 32
-# run a few percent faster and hold 2-4x the memory.
+# eval_descriptor_accuracy. At 8, a pass holds fewer activations than a
+# training step's graph of 8 samples; 16 or 32 ran a few percent faster
+# and held 2-4x the memory.
 EVAL_CHUNK = 8
 
 
@@ -217,6 +226,83 @@ class TrainConfig:
     use_descriptor_mask: bool = True
 
 
+def _losses(
+    model: Model,
+    pairs: Sequence[tuple],
+    factors: RebalanceFactors,
+    rngs_image: Sequence[np.random.Generator],
+    rngs_text: Sequence[np.random.Generator],
+    use_sr: bool,
+    use_descriptor_mask: bool,
+    attention: Optional[Callable[[SynthSample], np.ndarray]],
+    batched: bool,
+) -> LossBundle:
+    """All three objectives for (sample, doc) pairs, as one graph.
+
+    Slot ``b`` draws its patch mask from ``rngs_image[b]`` and its text
+    mask from ``rngs_text[b]``. Batched, every tensor has a leading slot
+    axis and the terms are (B,); every sample shows the same number of
+    patches, so the image path is one rectangular batch (MAE's gather),
+    and the text path runs once per report length. Unbatched, ``pairs``
+    holds one pair, no tensor has a slot axis and the terms are scalars.
+    """
+
+    def per_slot(items: list):
+        """The model's argument for one item per slot: all of them, or the only one."""
+        return items if batched else items[0]
+
+    def stacked(arrays: list) -> np.ndarray:
+        return np.stack(arrays) if batched else arrays[0]
+
+    cfg = model.cfg
+    dtype = np.float64 if model.dtype == np.float64 else np.float32
+    samples = [sample for sample, _ in pairs]
+    for sample in samples:
+        side = sample.image.shape[0]
+        if side != cfg.image_size * cfg.sr_factor:
+            raise ValueError(
+                f"sample {sample.id}: side {side} vs model target {cfg.image_size * cfg.sr_factor}"
+            )
+    low = stacked([downsample(s.image, cfg.sr_factor).astype(dtype) for s in samples])
+
+    plans = [plan_patch_mask(cfg.n_patches, rng, ratio=cfg.patch_mask_ratio) for rng in rngs_image]
+    visible = stacked([np.array(plan.visible, dtype=np.int64) for plan in plans])
+    patches = np.take_along_axis(patchify(low, cfg.patch), visible[..., None], axis=-2)
+    f_v = model.encode_image(patches, visible)
+    recon = model.decode_image(f_v, per_slot(plans))
+    mim = loss_mim(recon, low, per_slot(plans), cfg.patch)
+
+    if use_sr:
+        weights = stacked([s.attention if attention is None else attention(s) for s in samples])
+        hi = stacked([s.image.astype(dtype) for s in samples])
+        sr = loss_sr(model.sr_head(recon), hi, weights)
+    else:
+        sr = ad.constant(np.zeros(mim.shape), dtype=dtype)
+
+    tplans, masked_ids = [], []
+    for (_, doc), rng in zip(pairs, rngs_text):
+        spans = doc.spans if use_descriptor_mask else []
+        tplans.append(plan_text_mask(doc.seq, spans, rng, ratio=cfg.text_mask_ratio))
+        masked_ids.append(apply_text_mask(doc.seq, tplans[-1], MASK_ID).ids)
+    groups: dict = {}
+    for slot, (_, doc) in enumerate(pairs):
+        groups.setdefault(len(doc.seq), []).append(slot)
+    parts = []
+    for slots in groups.values():
+        f_g = f_v if len(groups) == 1 else ad.take_rows(f_v, slots)
+        bundle = model.mscf_fuse(f_g, model.embed_text(stacked([masked_ids[i] for i in slots])))
+        logits = model.decode_text(bundle.f_f)
+        targets = stacked([pairs[i][1].seq.ids for i in slots])
+        parts.append(loss_mlm(logits, targets, per_slot([tplans[i] for i in slots]), factors))
+    if len(parts) == 1:
+        mlm = parts[0]
+    else:
+        grouped = np.concatenate(list(groups.values()))
+        mlm = ad.take_rows(ad.concat(parts), np.argsort(grouped))
+
+    return loss_total(mim, mlm, sr)
+
+
 def sample_losses(
     model: Model,
     sample: SynthSample,
@@ -228,35 +314,12 @@ def sample_losses(
     use_descriptor_mask: bool = True,
     attention: Optional[Callable[[SynthSample], np.ndarray]] = None,
 ) -> LossBundle:
-    """All three objectives for one image/report pair."""
-    cfg = model.cfg
-    side = sample.image.shape[0]
-    if side != cfg.image_size * cfg.sr_factor:
-        raise ValueError(
-            f"sample_losses: sample side {side} vs model target {cfg.image_size * cfg.sr_factor}"
-        )
-    low = downsample(sample.image, cfg.sr_factor).astype(np.float64 if model.dtype == np.float64 else np.float32)
-
-    plan = plan_patch_mask(cfg.n_patches, rng_image, ratio=cfg.patch_mask_ratio)
-    patches = patchify(low, cfg.patch)
-    f_v = model.encode_image(patches[list(plan.visible)], plan.visible)
-    recon = model.decode_image(f_v, plan)
-    mim = loss_mim(recon, low, plan, cfg.patch)
-
-    if use_sr:
-        weights = sample.attention if attention is None else attention(sample)
-        sr = loss_sr(model.sr_head(recon), sample.image.astype(low.dtype), weights)
-    else:
-        sr = ad.constant(np.zeros(()), dtype=low.dtype)
-
-    spans = doc.spans if use_descriptor_mask else []
-    tplan = plan_text_mask(doc.seq, spans, rng_text, ratio=cfg.text_mask_ratio)
-    masked = apply_text_mask(doc.seq, tplan, MASK_ID)
-    bundle = model.mscf_fuse(f_v, model.embed_text(masked.ids))
-    logits = model.decode_text(bundle.f_f)
-    mlm = loss_mlm(logits, doc.seq.ids, tplan, factors)
-
-    return loss_total(mim, mlm, sr)
+    """All three objectives for one image/report pair, as scalars: the
+    batch-of-one case of the training step's graph, without a slot axis."""
+    return _losses(
+        model, [(sample, doc)], factors, [rng_image], [rng_text],
+        use_sr, use_descriptor_mask, attention, batched=False,
+    )
 
 
 def train_step(
@@ -272,32 +335,32 @@ def train_step(
 ) -> dict:
     """One optimizer step over ``pairs`` of (sample, doc).
 
-    Per-sample generators are keyed by (seed, stream, step, slot), and
-    gradients add into the leaves one sample at a time, so any chunking
-    of the same pairs produces bit-identical parameters.
+    Per-slot generators are keyed by (seed, stream, step, slot). The
+    batch is one graph and one backward, with gradients equal bit for
+    bit to adding them into the leaves one slot at a time, so any
+    chunking of the same pairs produces bit-identical parameters (up to
+    rounding in the text parameters when report lengths differ; see the
+    module docstring).
     """
     opt.zero_grad()
     n = len(pairs)
-    sums = {"l_mim": 0.0, "l_mlm": 0.0, "l_sr": 0.0, "total": 0.0}
-    for slot, (sample, doc) in enumerate(pairs):
-        rng_image = np.random.default_rng([seed, STREAM_IMAGE, step, slot])
-        rng_text = np.random.default_rng([seed, STREAM_TEXT, step, slot])
-        try:
-            bundle = sample_losses(
-                model, sample, doc, factors, rng_image, rng_text,
-                use_sr=use_sr, use_descriptor_mask=use_descriptor_mask,
-                attention=attention,
-            )
-        except FloatingPointError as exc:
-            raise TrainingError(f"step {step}, sample {sample.id}: {exc}") from exc
-        for key, value in bundle.values().items():
-            sums[key] += value
-        ad.backward(ad.scale(bundle.total, 1.0 / n))
+    rngs_image = [np.random.default_rng([seed, STREAM_IMAGE, step, slot]) for slot in range(n)]
+    rngs_text = [np.random.default_rng([seed, STREAM_TEXT, step, slot]) for slot in range(n)]
+    try:
+        bundle = _losses(
+            model, pairs, factors, rngs_image, rngs_text,
+            use_sr, use_descriptor_mask, attention, batched=True,
+        )
+    except FloatingPointError as exc:
+        raise TrainingError(f"step {step}: {exc}") from exc
+    ad.backward(ad.sum_all(ad.scale(bundle.total, 1.0 / n)))
     try:
         opt.step()
     except FloatingPointError as exc:
         raise TrainingError(f"step {step}: {exc}") from exc
-    return {key: value / n for key, value in sums.items()}
+    terms = {"l_mim": bundle.mim, "l_mlm": bundle.mlm, "l_sr": bundle.sr, "total": bundle.total}
+    # per-slot values added in slot order, as Python floats
+    return {key: sum(float(v) for v in t.data) / n for key, t in terms.items()}
 
 
 def pretrain(
@@ -359,9 +422,12 @@ def save_checkpoint(ckpt_dir, model: Model, opt: AdamW, step: int) -> None:
     """Write params + optimizer state as a manifest and one raw blob.
 
     The blob is little-endian raw array bytes in manifest order; the
-    manifest line format is name, dtype, shape, byte offset. Files are
-    written via temp + rename, manifest last, so a torn write never
-    leaves a manifest pointing at a half-written blob.
+    manifest line format is name, dtype, shape, byte offset. The
+    manifest's ``#meta`` line records the blob's byte length and
+    ``zlib.crc32``. Files are written via temp + rename, manifest last,
+    and ``load_checkpoint`` checks the blob against the manifest, so a
+    crash between the renames cannot pair a new blob with an old
+    manifest silently.
     """
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -370,9 +436,10 @@ def save_checkpoint(ckpt_dir, model: Model, opt: AdamW, step: int) -> None:
     entries += [(f"adam.m.{name}", opt.m[name]) for name in model.params]
     entries += [(f"adam.v.{name}", opt.v[name]) for name in model.params]
 
-    lines = [f"#meta\tstep={step}\tadam_t={opt.t}"]
+    lines = []
     chunks = []
     offset = 0
+    crc = 0
     for name, arr in entries:
         # a view, not a copy, when the array is already contiguous little-endian
         arr_le = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
@@ -380,6 +447,8 @@ def save_checkpoint(ckpt_dir, model: Model, opt: AdamW, step: int) -> None:
         lines.append(f"{name}\t{arr.dtype.name}\t{shape}\t{offset}")
         chunks.append(arr_le)
         offset += arr_le.nbytes
+        crc = zlib.crc32(arr_le.reshape(-1).view(np.uint8), crc)
+    lines.insert(0, f"#meta\tstep={step}\tadam_t={opt.t}\tbytes={offset}\tcrc32={crc}")
 
     cfg_lines = [f"{f.name}={getattr(model.cfg, f.name)}" for f in fields(model.cfg)]
     cfg_lines += [f"opt.{f.name}={getattr(opt.cfg, f.name)}" for f in fields(opt.cfg)]
@@ -393,16 +462,31 @@ def load_checkpoint(ckpt_dir, model: Model, opt: AdamW) -> int:
     """Restore params and optimizer state in place; returns the step.
 
     Every named array must match the model bit-for-bit in dtype and
-    shape; mismatches are collected and reported together. A blob
-    shorter than the manifest promises raises before anything mutates.
+    shape; mismatches are collected and reported together. A blob whose
+    length or crc32 differs from the manifest's record (truncated, or
+    from another save) raises before anything mutates.
     """
     ckpt_dir = Path(ckpt_dir)
     manifest = (ckpt_dir / "manifest.tsv").read_text().splitlines()
     blob = (ckpt_dir / "params.bin").read_bytes()
 
     meta = dict(kv.split("=", 1) for kv in manifest[0].split("\t")[1:])
+    missing_meta = sorted({"step", "adam_t", "bytes", "crc32"} - meta.keys())
+    if missing_meta:
+        raise ValueError(f"load_checkpoint: manifest #meta line lacks {', '.join(missing_meta)}")
     step = int(meta["step"])
     adam_t = int(meta["adam_t"])
+    if len(blob) != int(meta["bytes"]):
+        raise ValueError(
+            f"load_checkpoint: params.bin truncated or replaced: "
+            f"manifest records {meta['bytes']} bytes, file has {len(blob)}"
+        )
+    crc = zlib.crc32(blob)
+    if crc != int(meta["crc32"]):
+        raise ValueError(
+            f"load_checkpoint: params.bin does not match its manifest: "
+            f"manifest records crc32 {int(meta['crc32']):08x}, file has {crc:08x}"
+        )
 
     expected = {name: p.data for name, p in model.params.items()}
     expected.update({f"adam.m.{name}": opt.m[name] for name in model.params})

@@ -166,7 +166,9 @@ def _op_trial(name: str, rng: np.random.Generator) -> float:
     check = lambda f, inputs: ad.grad_check(f, inputs, max_coords=3, rng=rng)
 
     if name in ("add", "sub", "mul"):
-        op = getattr(ad, name)
+        # "sub" is a - b as add(a, scale(b, -1)); the trial keeps its slot
+        # so every later op keeps its seed
+        op = {"add": ad.add, "mul": ad.mul, "sub": lambda a, b: ad.add(a, ad.scale(b, -1.0))}[name]
         a, b = p((r, c)), p((c,) if rng.integers(2) else (r, c))
         return check(lambda _: sq(op(a, b)), [a, b])
     if name == "scale":
@@ -265,6 +267,26 @@ def _op_trial(name: str, rng: np.random.Generator) -> float:
         factor = int(rng.integers(2, 4))
         a = p((h, h))
         return check(lambda _: sq(ad.bilinear_upsample(a, factor=factor)), [a])
+    if name == "conv2d_batched":
+        cin, cout = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        h = int(rng.integers(3, 6))
+        x, w, b = p((r, cin, h, h)), p((cout, cin, 3, 3)), p((cout,))
+        return check(lambda _: sq(ad.conv2d(x, w, b)), [x, w, b])
+    if name == "bilinear_upsample_batched":
+        h = int(rng.integers(3, 6))
+        factor = int(rng.integers(2, 4))
+        a = p((r, h, h + 1))
+        return check(lambda _: sq(ad.bilinear_upsample(a, factor=factor)), [a])
+    if name == "take_rows_batched":
+        n = int(rng.integers(2, 5))
+        a = p((r, n, c))
+        idx = rng.integers(0, n, size=(r, n + 1))  # per-sample rows, with repeats
+        return check(lambda _: sq(ad.take_rows(a, idx)), [a])
+    if name == "gather_sum":
+        a = p((r, c))
+        # per-sample index lists of different lengths, one of them empty
+        lists = [rng.integers(0, c, size=int(rng.integers(0, c + 1))) for _ in range(r)]
+        return check(lambda _: sq(ad.gather_sum(a, lists)), [a])
     raise AssertionError(f"no trial for op {name}")
 
 
@@ -273,6 +295,7 @@ _ALL_OPS = (
     "slice_axis", "take_rows", "embedding_lookup", "layer_normalize", "softmax",
     "gelu", "mean", "sum_all", "mse", "weighted_mse", "cross_entropy_with_logits",
     "conv2d", "bilinear_upsample", "linear", "attention",
+    "conv2d_batched", "bilinear_upsample_batched", "take_rows_batched", "gather_sum",
 )
 
 

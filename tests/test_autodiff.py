@@ -171,6 +171,46 @@ class TestGradients:
         w = ad.constant(rng.normal(size=(4, 3)), dtype=np.float64)
         check(lambda ts: ad.sum_all(ad.mul(ad.take_rows(ts[0], idx), w)), [x])
 
+    def test_take_rows_batched_per_sample_rows(self):
+        rng = np.random.default_rng(24)
+        x = t64(rng, 2, 4, 3)
+        idx = np.array([[0, 2, 2, 3, 1], [3, 3, 0, 1, 1]])
+        out = ad.take_rows(x, idx)
+        assert np.array_equal(out.data, np.stack([x.data[0][idx[0]], x.data[1][idx[1]]]))
+        w = ad.constant(rng.normal(size=(2, 5, 3)), dtype=np.float64)
+        check(lambda ts: ad.sum_all(ad.mul(ad.take_rows(ts[0], idx), w)), [x])
+
+    def test_gather_sum(self):
+        rng = np.random.default_rng(25)
+        x = t64(rng, 3, 5)
+        lists = [[4, 0, 0], [], [2]]
+        out = ad.gather_sum(x, lists)
+        np.testing.assert_array_equal(out.data, [x.data[0, [4, 0, 0]].sum(), 0.0, x.data[2, 2]])
+        w = ad.constant(rng.normal(size=3), dtype=np.float64)
+        check(lambda ts: ad.sum_all(ad.mul(ad.gather_sum(ts[0], lists), w)), [x])
+
+    def test_conv2d_and_bilinear_batched(self):
+        rng = np.random.default_rng(26)
+        x, w, b = t64(rng, 3, 2, 4, 5), t64(rng, 2, 2, 3, 3), t64(rng, 2)
+        m = ad.constant(rng.normal(size=(3, 2, 4, 5)), dtype=np.float64)
+        check(lambda ts: ad.sum_all(ad.mul(ad.conv2d(ts[0], ts[1], ts[2]), m)), [x, w, b])
+        u = t64(rng, 3, 4, 5)
+        mu = ad.constant(rng.normal(size=(3, 8, 10)), dtype=np.float64)
+        check(lambda ts: ad.sum_all(ad.mul(ad.bilinear_upsample(ts[0]), mu)), [u])
+
+    def test_per_sample_losses(self):
+        rng = np.random.default_rng(27)
+        p, t = t64(rng, 3, 4, 5), ad.constant(rng.normal(size=(3, 4, 5)), dtype=np.float64)
+        wts = rng.uniform(0.0, 1.0, size=(3, 4, 5))
+        assert ad.mse(p, t).shape == (3,) and ad.weighted_mse(p, t, wts).shape == (3,)
+        v = ad.constant(rng.normal(size=3), dtype=np.float64)
+        check(lambda ts: ad.sum_all(ad.mul(ad.mse(ts[0], t), v)), [p])
+        check(lambda ts: ad.sum_all(ad.mul(ad.weighted_mse(ts[0], t, wts), v)), [p])
+        logits = t64(rng, 2, 3, 6)
+        ids = rng.integers(0, 6, size=(2, 3))
+        w = ad.constant(rng.normal(size=(2, 3)), dtype=np.float64)
+        check(lambda ts: ad.sum_all(ad.mul(ad.cross_entropy_with_logits(ts[0], ids), w)), [logits])
+
     def test_embedding_lookup(self):
         rng = np.random.default_rng(18)
         table = t64(rng, 7, 4)
@@ -309,6 +349,16 @@ class TestErrors:
         with pytest.raises(ad.GraphError):
             ad.backward(loss)
 
+    def test_backward_through_a_released_node(self):
+        w = ad.parameter(np.ones(3))
+        h = ad.scale(w, 2.0)
+        ad.backward(ad.sum_all(h))
+        assert h._parents == () and h._vjps == ()
+        with pytest.raises(ad.GraphError, match="released"):
+            ad.backward(ad.sum_all(ad.scale(h, 3.0)))
+        # the refused walk added nothing
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
+
     def test_embedding_out_of_range(self):
         table = ad.parameter(np.zeros((4, 2)))
         with pytest.raises(ad.ShapeError, match="embedding"):
@@ -392,3 +442,89 @@ class TestNoGrad:
             ad.scale(h, 5.0)
         ad.backward(ad.sum_all(h))
         np.testing.assert_array_equal(w.grad, [3.0, 3.0])
+
+
+class TestBatchedBitExact:
+    """One node over a batch gives every sample the bits it gets alone.
+
+    Each op runs once over (B, ...) float32 inputs and once per sample,
+    where the per-sample gradients add into the parameter leaves one
+    sample at a time; outputs and every gradient must be equal bit for
+    bit. Folding the samples' rows into one matrix product, or summing a
+    parameter's gradient over the batch before within a sample, breaks it.
+    """
+
+    @staticmethod
+    def run(op, x, params):
+        rng = np.random.default_rng(31)
+        weights = None
+        outs, grads = {}, {}
+        for mode in ("batch", "per-sample"):
+            ps = [ad.parameter(p) for p in params]
+            if mode == "batch":
+                xs = [ad.parameter(x)]
+            else:
+                xs = [ad.parameter(x[i]) for i in range(len(x))]
+            rows = []
+            for i, xi in enumerate(xs):
+                out = op(xi, *ps)
+                if weights is None:
+                    weights = rng.normal(size=out.shape).astype(np.float32)
+                w = weights if mode == "batch" else weights[i]
+                ad.backward(ad.sum_all(ad.mul(out, ad.constant(w))))
+                rows.append(out.data)
+            outs[mode] = rows[0] if mode == "batch" else np.stack(rows)
+            xg = xs[0].grad if mode == "batch" else np.stack([xi.grad for xi in xs])
+            grads[mode] = [xg] + [p.grad for p in ps]
+        assert np.array_equal(outs["batch"], outs["per-sample"])
+        for got, want in zip(grads["batch"], grads["per-sample"]):
+            assert np.array_equal(got, want)
+
+    def test_linear(self):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(6, 5, 64)).astype(np.float32)
+        self.run(ad.linear, x, [rng.normal(size=(64, 48)), rng.normal(size=48)])
+        # one row per sample: the global-feature projection
+        self.run(ad.linear, x[:, :1], [rng.normal(size=(64, 48)), rng.normal(size=48)])
+        # eight samples of a one-number bias gradient
+        x8 = rng.normal(size=(8, 3, 16)).astype(np.float32)
+        self.run(ad.linear, x8, [rng.normal(size=(16, 1)), rng.normal(size=1)])
+
+    def test_layer_normalize_and_gelu(self):
+        rng = np.random.default_rng(33)
+        x = rng.normal(size=(6, 7, 32)).astype(np.float32)
+        self.run(ad.layer_normalize, x, [rng.normal(size=32), rng.normal(size=32)])
+        self.run(ad.gelu, x, [])
+
+    def test_attention(self):
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(5, 9, 32)).astype(np.float32)
+        weights = [rng.normal(0, 0.3, size=(32, 32) if i % 2 == 0 else 32) for i in range(8)]
+        self.run(lambda q, *w: ad.attention(q, q, *w, heads=4), x, weights)
+        # one query row per sample attending over its other nine rows; at
+        # width 64 a one-row product rounds differently from folded rows
+
+        def cross(x, *w):
+            rows = x.ndim - 2
+            return ad.attention(ad.slice_axis(x, rows, 0, 1), ad.slice_axis(x, rows, 1, 10), *w, heads=4)
+
+        x = rng.normal(size=(5, 10, 64)).astype(np.float32)
+        weights = [rng.normal(0, 0.3, size=(64, 64) if i % 2 == 0 else 64) for i in range(8)]
+        self.run(cross, x, weights)
+
+    def test_conv2d_bilinear_and_losses(self):
+        rng = np.random.default_rng(35)
+        img = rng.normal(size=(4, 3, 12, 12)).astype(np.float32)
+        self.run(ad.conv2d, img, [rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2)])
+        self.run(ad.bilinear_upsample, img[:, 0], [])
+        target = rng.normal(size=(4, 12, 12)).astype(np.float32)
+        weights = rng.uniform(0.0, 1.0, size=(4, 12, 12)).astype(np.float32)
+        for loss in (lambda a, b, w: ad.mse(a, b), ad.weighted_mse):
+            x = ad.parameter(img[:, 0])
+            batch = loss(x, ad.constant(target), weights)
+            ad.backward(ad.sum_all(batch))
+            for i in range(len(img)):
+                xi = ad.parameter(img[i, 0])
+                one = loss(xi, ad.constant(target[i]), weights[i])
+                ad.backward(one)
+                assert one.data == batch.data[i] and np.array_equal(xi.grad, x.grad[i])

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairmask.autodiff as ad
 from pairmask.corpus import (
@@ -27,6 +29,8 @@ from pairmask.synthgen import LABEL_ABSENT, LABEL_PRESENT, SynthSample, SynthSpe
 from pairmask.trainer import (
     EVAL_CHUNK,
     STREAM_EVAL,
+    STREAM_IMAGE,
+    STREAM_TEXT,
     AdamW,
     ModelAttention,
     OptimizerConfig,
@@ -230,6 +234,102 @@ def test_train_step_chunking_invariant():
         assert np.array_equal(model_a.params[name].data, model_b.params[name].data), name
 
 
+def slot_by_slot(model, opt, pairs, factors, step, seed, **flags):
+    """The reference a batched step must equal: one graph per slot, each
+    differentiated into the leaves before the next is built."""
+    opt.zero_grad()
+    rows = []
+    for slot, (sample, doc) in enumerate(pairs):
+        rng_image = np.random.default_rng([seed, STREAM_IMAGE, step, slot])
+        rng_text = np.random.default_rng([seed, STREAM_TEXT, step, slot])
+        bundle = sample_losses(model, sample, doc, factors, rng_image, rng_text, **flags)
+        rows.append(bundle.values())
+        ad.backward(ad.scale(bundle.total, 1.0 / len(pairs)))
+    return {key: sum(row[key] for row in rows) / len(rows) for key in rows[0]}
+
+
+def assert_same_state(model_a, opt_a, model_b, opt_b):
+    assert opt_a.t == opt_b.t
+    for name in model_a.params:
+        assert np.array_equal(model_a.params[name].data, model_b.params[name].data), name
+        assert np.array_equal(opt_a.m[name], opt_b.m[name]), f"adam m {name}"
+        assert np.array_equal(opt_a.v[name], opt_b.v[name]), f"adam v {name}"
+
+
+@pytest.mark.parametrize("use_sr, use_descriptor_mask", [(True, True), (False, True), (True, False)],
+                         ids=["all", "no-sr", "no-descriptor-mask"])
+def test_batched_step_is_bit_identical_at_default_shape(use_sr, use_descriptor_mask):
+    # at dim 64, folding rows of different samples into one matrix
+    # product would already round differently from the per-slot graphs
+    samples = gen_dataset(SynthSpec(p_positive=0.3, seed=2), 12)
+    data = prepare_training_data(samples)
+    cfg = ModelConfig(vocab_size=len(data.vocab))
+    model_a, model_b = Model(cfg, seed=1), Model(cfg, seed=1)
+    opt_a, opt_b = AdamW(model_a.params), AdamW(model_b.params)
+    pairs = list(zip(samples[:8], data.docs[:8]))
+    assert len({len(doc.seq) for _, doc in pairs}) == 1   # one text group
+    flags = dict(use_sr=use_sr, use_descriptor_mask=use_descriptor_mask)
+    for step in range(2):
+        row = train_step(model_a, opt_a, pairs, data.factors, step=step, seed=3, **flags)
+        want = slot_by_slot(model_b, opt_b, pairs, data.factors, step, 3, **flags)
+        opt_b.step()
+        assert row == want
+    assert_same_state(model_a, opt_a, model_b, opt_b)
+
+
+@pytest.fixture(scope="module")
+def property_world():
+    return small_world(n=10, seed=4)
+
+
+@settings(max_examples=12, deadline=None)
+@given(batch=st.integers(min_value=1, max_value=5), seed=st.integers(min_value=0, max_value=2**16))
+def test_batched_step_equals_per_slot_for_any_batch(property_world, batch, seed):
+    samples, data, model = property_world
+    cfg = model.cfg
+    pick = np.random.default_rng(seed).choice(len(samples), size=batch, replace=False)
+    pairs = [(samples[i], data.docs[i]) for i in pick]
+    model_a, model_b = Model(cfg, seed=seed), Model(cfg, seed=seed)
+    opt_a, opt_b = AdamW(model_a.params), AdamW(model_b.params)
+    step = seed % 5
+    row = train_step(model_a, opt_a, pairs, data.factors, step=step, seed=seed)
+    assert row == slot_by_slot(model_b, opt_b, pairs, data.factors, step, seed)
+    opt_b.step()
+    assert_same_state(model_a, opt_a, model_b, opt_b)
+
+
+# Reports of two lengths run the text path in two groups, so the text
+# parameters sum their gradients group by group, not slot by slot:
+# float32 round-off relative to each parameter's largest gradient
+# (measured worst 2e-7, txtdec.0.attn.bv).
+MIXED_LENGTH_RTOL = 1e-5
+TEXT_PARAMS = ("tok_embed.", "fuse.", "txtdec.")
+
+
+def test_mixed_length_batch_matches_per_slot_within_tolerance():
+    samples, data, model_a = small_world(n=8)
+    # every other doc keeps only its original report: two lengths, interleaved
+    docs = [
+        doc if i % 2 else annotate(tokenize(sample.report, data.vocab), DEFAULT_ENTITY_LEXICON, beta=DEFAULT_BETA)
+        for i, (sample, doc) in enumerate(zip(samples, data.docs))
+    ]
+    assert len({len(doc.seq) for doc in docs}) == 2
+    pairs = list(zip(samples, docs))
+    model_b = Model(model_a.cfg, seed=0)
+    row = train_step(model_a, AdamW(model_a.params), pairs, data.factors, step=0, seed=0)
+    assert row == slot_by_slot(model_b, AdamW(model_b.params), pairs, data.factors, 0, 0)
+    text = 0
+    for name, p in model_a.params.items():
+        want = model_b.params[name].grad
+        if name.startswith(TEXT_PARAMS):
+            text += 1
+            atol = MIXED_LENGTH_RTOL * float(np.abs(want).max())
+            np.testing.assert_allclose(p.grad, want, rtol=0, atol=atol, err_msg=name)
+        else:
+            assert np.array_equal(p.grad, want), name
+    assert text > 0
+
+
 def test_pretrain_runs_are_bit_identical():
     samples, data, model_a = small_world(n=12)
     model_b = Model(model_a.cfg, seed=0)
@@ -322,6 +422,21 @@ def test_load_rejects_truncated_blob(tmp_path):
     (tmp_path / "ck" / "params.bin").write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(tmp_path / "ck", Model(model.cfg, seed=0), AdamW(Model(model.cfg, seed=0).params))
+
+
+def test_load_rejects_blob_from_another_checkpoint(tmp_path):
+    # a torn save can leave one save's blob under another's manifest; the
+    # shapes match, so only the recorded length and crc32 can tell
+    samples, data, model = small_world(n=4)
+    save_checkpoint(tmp_path / "a", model, AdamW(model.params), step=0)
+    other = Model(model.cfg, seed=1)
+    save_checkpoint(tmp_path / "b", other, AdamW(other.params), step=5)
+    (tmp_path / "a" / "params.bin").write_bytes((tmp_path / "b" / "params.bin").read_bytes())
+    fresh = Model(model.cfg, seed=2)
+    before = {name: p.data.copy() for name, p in fresh.params.items()}
+    with pytest.raises(ValueError, match=r"crc32 [0-9a-f]{8}, file has [0-9a-f]{8}"):
+        load_checkpoint(tmp_path / "a", fresh, AdamW(fresh.params))
+    assert all(np.array_equal(p.data, before[name]) for name, p in fresh.params.items())
 
 
 def test_load_rejects_shape_mismatch_listing_names(tmp_path):
