@@ -25,10 +25,19 @@ weight's gradient within each sample first, then over the samples in
 slot order. A batched graph therefore gives the same bits as building,
 differentiating and dropping one graph per sample.
 
-To keep a batch's graph small in memory, cheap intermediates (the GELU
-gate, the normalized rows, the attention projections, convolution
-windows) are recomputed in backward rather than saved, and ``backward``
-releases each node's edges as soon as they have run.
+To keep a batch's graph small in memory, cheap intermediates (the
+normalized rows, the attention projections, convolution windows) are
+recomputed in backward rather than saved, and ``backward`` releases each
+node's edges as soon as they have run. The GELU gate is the exception:
+its ``erf`` costs more than the buffer, so the node keeps it.
+
+Scatters (the vjps of ``take_rows``, ``embedding_lookup``, ``gather_sum``
+and ``bilinear_upsample``) add into a zeroed array at flat positions, in
+the C order of the gathered entries. Entries that land on one position
+(duplicate indices) are added one at a time in that order, the order
+``np.add.at`` uses on the equivalent multi-axis index, so the sums equal
+that call's bit for bit. Flat 1-D operands take numpy's fast
+``ufunc.at`` loop (numpy >= 1.25).
 
 Inside ``with no_grad():`` operators record no parents and no vjps, so a
 forward-only pass builds no graph; ``backward`` refuses such a result.
@@ -232,10 +241,30 @@ def _row_sum(g: np.ndarray) -> np.ndarray:
     return _slot_sum(g.sum(axis=-2), 1)
 
 
-def _lead_index(idx: np.ndarray) -> tuple:
-    """Index tuple that pairs ``idx`` (..., K) with the leading axes it shares."""
-    mesh = np.ix_(*(np.arange(n) for n in idx.shape[:-1]))
-    return tuple(m[..., None] for m in mesh) + (idx,)
+def _scatter_add(out: np.ndarray, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Add ``values`` into the fresh contiguous ``out`` at flat C-order ``positions``.
+
+    ``positions`` and ``values`` have one shape and are taken in C order;
+    entries that hit one position add one at a time in that order (see
+    the module docstring).
+    """
+    np.add.at(out.reshape(-1), positions.reshape(-1), values.reshape(-1))
+    return out
+
+
+def _flat_rows(idx: np.ndarray, n: int) -> np.ndarray:
+    """Row numbers ``idx`` (..., K), each sample's out of its own ``n`` rows,
+    as row numbers into all samples' rows stacked in C order."""
+    lead = np.arange(math.prod(idx.shape[:-1]), dtype=np.int64).reshape(idx.shape[:-1] + (1,))
+    return lead * n + idx
+
+
+def _scatter_rows(shape: tuple, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``np.zeros(shape)`` with ``g`` (*rows.shape, *row) added at the flat
+    row numbers ``rows``, rows being the trailing axes ``shape[rows.ndim:]``."""
+    width = math.prod(shape[rows.ndim :])
+    positions = rows[..., None] * width + np.arange(width, dtype=np.int64)
+    return _scatter_add(np.zeros(shape, dtype=g.dtype), positions, g)
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +521,10 @@ def take_rows(a: Tensor, indices) -> Tensor:
         raise ShapeError(f"take_rows: indices {idx.shape} do not index the rows of {a.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[axis]):
         raise ShapeError(f"take_rows: index out of range for {a.shape[axis]} rows")
-    index = _lead_index(idx)
+    rows = _flat_rows(idx, a.shape[axis])
     shape = a.shape
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        out = np.zeros(shape, dtype=g.dtype)
-        np.add.at(out, index, g)
-        return out
-
-    return _make(a.data[index], (a,), (vjp,), "take_rows")
+    data = a.data.reshape((-1,) + shape[axis + 1 :])[rows]
+    return _make(data, (a,), (lambda g: _scatter_rows(shape, rows, g),), "take_rows")
 
 
 def gather_sum(x: Tensor, indices: Sequence) -> Tensor:
@@ -520,10 +544,10 @@ def gather_sum(x: Tensor, indices: Sequence) -> Tensor:
     data = np.array([row[i].sum() for row, i in zip(rows, idx)], dtype=x.dtype).reshape(x.shape[:-1])
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        out = np.zeros(rows.shape, dtype=g.dtype)
-        for row, i, gi in zip(out, idx, g.reshape(-1)):
-            np.add.at(row, i, gi)
-        return out.reshape(x.shape)
+        offsets = [i + r * rows.shape[1] for r, i in enumerate(idx)]
+        positions = np.concatenate([np.zeros(0, dtype=np.int64)] + offsets)
+        values = np.repeat(g.reshape(-1), [len(i) for i in idx])
+        return _scatter_add(np.zeros(x.shape, dtype=g.dtype), positions, values)
 
     return _make(data, (x,), (vjp,), "gather_sum")
 
@@ -541,12 +565,10 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise ShapeError(f"embedding_lookup: table must be 2-D, got {table.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"embedding_lookup: id out of range for table {table.shape}")
-    shape = table.shape
+    shape = idx.shape[:-1] + table.shape
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        out = np.zeros(idx.shape[:-1] + shape, dtype=g.dtype)
-        np.add.at(out, _lead_index(idx), g)
-        return _slot_sum(out, 2)
+        return _slot_sum(_scatter_rows(shape, _flat_rows(idx, shape[-2]), g), 2)
 
     return _make(table.data[idx], (table,), (vjp,), "embedding_lookup")
 
@@ -609,7 +631,13 @@ def _gelu_gate(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU. Keeps only its input; the vjp recomputes the gate."""
+    """Exact (erf-based) GELU, ``x * Phi(x)``.
+
+    The node keeps the gate Phi(x), so the vjp needs no second ``erf``.
+    The vjp writes its result into the gate's buffer, so it runs once, as
+    ``backward`` runs every vjp.
+    """
+    saved = [_gelu_gate(x.data)]
 
     def vjp(g: np.ndarray) -> np.ndarray:
         # g * (Phi(x) + x * phi(x)), in two buffers
@@ -618,12 +646,12 @@ def gelu(x: Tensor) -> Tensor:
         np.exp(t, out=t)
         t *= _INV_SQRT2PI
         t *= x.data
-        out = _gelu_gate(x.data)
+        out = saved.pop()
         out += t
         out *= g
         return out
 
-    return _make(x.data * _gelu_gate(x.data), (x,), (vjp,), "gelu")
+    return _make(x.data * saved[0], (x,), (vjp,), "gelu")
 
 
 def mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -824,28 +852,29 @@ def bilinear_upsample(x: Tensor, factor: int = 2) -> Tensor:
         raise ShapeError(f"bilinear_upsample: need (..., H, W) images, got {x.shape}")
     if factor < 1:
         raise ShapeError(f"bilinear_upsample: factor {factor} < 1")
-    h, w = x.shape[-2:]
+    lead, (h, w) = x.shape[:-2], x.shape[-2:]
     i0, i1, ti = _bilinear_grids(h, factor)
     j0, j1, tj = _bilinear_grids(w, factor)
     ti = ti[:, None].astype(x.data.dtype)
     tj = tj[None, :].astype(x.data.dtype)
-    # (gather index, row weight, column weight) per source pixel
-    lead = (slice(None),) * (x.ndim - 2)
+    # (flat source pixel, row weight, column weight) per output pixel
     taps = (
-        (lead + (i0[:, None], j0[None, :]), 1 - ti, 1 - tj),
-        (lead + (i1[:, None], j0[None, :]), ti, 1 - tj),
-        (lead + (i0[:, None], j1[None, :]), 1 - ti, tj),
-        (lead + (i1[:, None], j1[None, :]), ti, tj),
+        (i0[:, None] * w + j0[None, :], 1 - ti, 1 - tj),
+        (i1[:, None] * w + j0[None, :], ti, 1 - tj),
+        (i0[:, None] * w + j1[None, :], 1 - ti, tj),
+        (i1[:, None] * w + j1[None, :], ti, tj),
     )
+    pixels = x.data.reshape(lead + (h * w,))
     data = None
-    for index, wi, wj in taps:
-        term = x.data[index] * wi * wj
+    for pixel, wi, wj in taps:
+        term = np.take(pixels, pixel, axis=-1) * wi * wj
         data = term if data is None else data + term
 
     def vjp(g: np.ndarray) -> np.ndarray:
         gx = np.zeros(x.shape, dtype=g.dtype)
-        for index, wi, wj in taps:
-            np.add.at(gx, index, g * wi * wj)
+        sample_start = (np.arange(math.prod(lead), dtype=np.int64) * (h * w)).reshape(lead + (1, 1))
+        for pixel, wi, wj in taps:
+            _scatter_add(gx, sample_start + pixel, g * wi * wj)
         return gx
 
     return _make(data, (x,), (vjp,), "bilinear_upsample")

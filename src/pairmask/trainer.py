@@ -92,42 +92,117 @@ class OptimizerConfig:
 
 
 class AdamW:
-    """Adam with decoupled weight decay.
+    """Adam with decoupled weight decay (arXiv 1711.05101).
 
     Decay applies only to rank >= 2 parameters; gains, biases and other
-    vectors are left unregularized. Moment buffers stay in the
-    parameter dtype so checkpoints restore bit-exactly.
+    vectors are left unregularized. All parameters share one dtype, and
+    the moments stay in it so checkpoints restore bit-exactly.
+
+    The first and second moments live in one flat buffer each, decayed
+    parameters first, each group in ``params`` order. ``m[name]`` and
+    ``v[name]`` are views of those buffers shaped like the parameter:
+    write into them (``m[name][...] = ...``), since rebinding a key
+    detaches it from the buffer ``step`` updates.
+
+    ``step`` updates each run of consecutive parameters (in buffer order)
+    that have gradients with one pass of whole-run numpy calls, and
+    leaves gradless parameters and their moments alone. The update is
+    elementwise, so it gives the bits of updating one parameter at a
+    time. Each updated parameter's ``data`` becomes a view of its run's
+    new flat values. Every gradient is checked before anything changes:
+    a non-finite one raises ``FloatingPointError`` naming the parameter
+    and leaves the parameters, the moments and ``t`` as they were.
     """
 
     def __init__(self, params: dict, cfg: Optional[OptimizerConfig] = None):
         self.params = params
         self.cfg = cfg if cfg is not None else OptimizerConfig()
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        dtypes = sorted({p.data.dtype.name for p in params.values()})
+        if len(dtypes) > 1:
+            raise ValueError(f"AdamW: parameters of mixed dtypes {dtypes}")
+        # decayed (rank >= 2) parameters first; sorted() is stable
+        self._order = sorted(params, key=lambda name: params[name].data.ndim < 2)
+        self._start = {}
+        total = 0
+        for name in self._order:
+            self._start[name] = total
+            total += params[name].data.size
+        self._n_decayed = sum(p.data.size for p in params.values() if p.data.ndim >= 2)
+        dtype = dtypes[0] if dtypes else ad.DEFAULT_DTYPE
+        self._m = np.zeros(total, dtype=dtype)
+        self._v = np.zeros(total, dtype=dtype)
+        self.m = {name: self._view(self._m, name) for name in params}
+        self.v = {name: self._view(self._v, name) for name in params}
+
+    def _view(self, flat: np.ndarray, name: str) -> np.ndarray:
+        start, p = self._start[name], self.params[name]
+        return flat[start : start + p.data.size].reshape(p.data.shape)
+
+    def _runs(self) -> list:
+        """Maximal runs of consecutive parameters, in buffer order, with gradients."""
+        runs, run = [], []
+        for name in self._order:
+            if self.params[name].grad is not None:
+                run.append(name)
+            elif run:
+                runs.append(run)
+                run = []
+        if run:
+            runs.append(run)
+        return runs
 
     def step(self) -> None:
-        c = self.cfg
+        runs = self._runs()
+        flat_grads = []
+        for run in runs:
+            for name in run:
+                p = self.params[name]
+                if p.grad.shape != p.data.shape:
+                    raise ValueError(f"AdamW: gradient {p.grad.shape} for {name} of shape {p.data.shape}")
+            g = np.concatenate([self.params[name].grad.reshape(-1) for name in run], dtype=self._m.dtype)
+            # min and max propagate NaN, so both are finite exactly when every entry is
+            if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
+                bad = next(name for name in run if not np.all(np.isfinite(self.params[name].grad)))
+                raise FloatingPointError(f"AdamW: non-finite gradient in {bad}")
+            flat_grads.append(g)
         self.t += 1
+        for run, g in zip(runs, flat_grads):
+            self._update(run, g)
+
+    def _update(self, run: list, g: np.ndarray) -> None:
+        """One pass over a run's flat gradient ``g``, which ends up holding
+        the run's new parameter values; the parameters become views of it."""
+        c = self.cfg
         b1t = 1.0 - c.beta1**self.t
         b2t = 1.0 - c.beta2**self.t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"AdamW: non-finite gradient in {name}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            update = (m / b1t) / (np.sqrt(v / b2t) + c.eps)
-            new = p.data - c.lr * update
-            if p.data.ndim >= 2:
-                new = new - c.lr * c.weight_decay * p.data
-            p.assign_(new)
+        start = self._start[run[0]]
+        m, v = self._m[start : start + len(g)], self._v[start : start + len(g)]
+        n_decayed = min(max(self._n_decayed - start, 0), len(g))
+        # the per-parameter expressions, operation for operation:
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
+        # new = (p - lr ((m / b1t) / (sqrt(v / b2t) + eps))) - (lr wd) p, decay on rank >= 2 only
+        scratch = (1.0 - c.beta1) * g
+        m *= c.beta1
+        m += scratch
+        np.multiply(g, 1.0 - c.beta2, out=scratch)
+        scratch *= g
+        v *= c.beta2
+        v += scratch
+        np.divide(v, b2t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += c.eps
+        np.divide(m, b1t, out=g)
+        g /= scratch
+        g *= c.lr
+        np.concatenate([self.params[name].data.reshape(-1) for name in run], out=scratch)
+        np.subtract(scratch, g, out=g)
+        scratch[:n_decayed] *= c.lr * c.weight_decay
+        g[:n_decayed] -= scratch[:n_decayed]
+        for name in run:
+            p = self.params[name]
+            offset = self._start[name] - start
+            p.assign_(g[offset : offset + p.data.size].reshape(p.data.shape))
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -513,7 +588,8 @@ def load_checkpoint(ckpt_dir, model: Model, opt: AdamW) -> int:
     if offenders:
         raise ValueError("load_checkpoint: " + "; ".join(sorted(offenders)))
 
-    arrays = {}
+    # read-only views of the blob until the copies below
+    stored = {}
     for name, (offset, shape, dtype) in parsed.items():
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
         if offset + nbytes > len(blob):
@@ -521,16 +597,15 @@ def load_checkpoint(ckpt_dir, model: Model, opt: AdamW) -> int:
                 f"load_checkpoint: blob truncated at {name} "
                 f"(needs {offset + nbytes} bytes, has {len(blob)})"
             )
-        arrays[name] = np.frombuffer(
+        stored[name] = np.frombuffer(
             blob, dtype=dtype.newbyteorder("<"), count=nbytes // dtype.itemsize, offset=offset
-        ).reshape(shape).astype(dtype)
+        ).reshape(shape)
 
     for name, p in model.params.items():
-        p.assign_(arrays[name])
-    # astype above made every array a fresh, writable copy
-    for name in model.params:
-        opt.m[name] = arrays[f"adam.m.{name}"]
-        opt.v[name] = arrays[f"adam.v.{name}"]
+        p.assign_(stored[name].astype(p.data.dtype))
+        # into the optimizer's views of its flat moment buffers
+        opt.m[name][...] = stored[f"adam.m.{name}"]
+        opt.v[name][...] = stored[f"adam.v.{name}"]
     opt.t = adam_t
     return step
 

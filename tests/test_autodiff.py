@@ -528,3 +528,110 @@ class TestBatchedBitExact:
                 one = loss(xi, ad.constant(target[i]), weights[i])
                 ad.backward(one)
                 assert one.data == batch.data[i] and np.array_equal(xi.grad, x.grad[i])
+
+
+def _lead_index(idx):
+    """Index tuple pairing ``idx`` (..., K) with the leading axes it shares."""
+    mesh = np.ix_(*(np.arange(n) for n in idx.shape[:-1]))
+    return tuple(m[..., None] for m in mesh) + (idx,)
+
+
+def _order_sensitive(rng, shape):
+    """float32 values whose sums depend on the order they are added in."""
+    return rng.choice([1e8, 1.0, -1e8, 3.0, -2.5e7], size=shape).astype(np.float32)
+
+
+def _forward_and_vjp(op, x, g):
+    """``op(x)`` and its vjp applied to ``g``, through ``backward``."""
+    leaf = ad.parameter(x, dtype=x.dtype)
+    out = op(leaf)
+    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g, dtype=g.dtype))))
+    return out.data, leaf.grad
+
+
+class TestScattersAndGeluBitExact:
+    """The flat scatters and the saved GELU gate against the multi-axis
+    ``np.add.at`` calls, per-row loop and gate-recomputing vjp they
+    replaced, bit for bit. Duplicate indices land order-sensitive float32
+    values on one entry, so a changed addition order shows."""
+
+    def test_take_rows(self):
+        rng = np.random.default_rng(50)
+        cases = [
+            (rng.normal(size=6), rng.integers(0, 6, size=25)),
+            (rng.normal(size=(6, 4)), rng.integers(0, 6, size=25)),
+            (rng.normal(size=(3, 5, 2, 3)), rng.integers(0, 5, size=(3, 12))),
+        ]
+        for a, idx in cases:
+            a = a.astype(np.float32)
+            g = _order_sensitive(rng, idx.shape + a.shape[idx.ndim :])
+            data, grad = _forward_and_vjp(lambda t: ad.take_rows(t, idx), a, g)
+            want = np.zeros(a.shape, dtype=np.float32)
+            np.add.at(want, _lead_index(idx), g)
+            assert np.array_equal(data, a[_lead_index(idx)])
+            assert np.array_equal(grad, want)
+
+    def test_embedding_lookup(self):
+        rng = np.random.default_rng(51)
+        table = rng.normal(size=(7, 4)).astype(np.float32)
+        for ids in (rng.integers(0, 7, size=30), rng.integers(0, 7, size=(3, 2, 15))):
+            g = _order_sensitive(rng, ids.shape + (4,))
+            data, grad = _forward_and_vjp(lambda t: ad.embedding_lookup(t, ids), table, g)
+            per_sample = np.zeros(ids.shape[:-1] + table.shape, dtype=np.float32)
+            np.add.at(per_sample, _lead_index(ids), g)
+            assert np.array_equal(data, table[ids])
+            assert np.array_equal(grad, ad._slot_sum(per_sample, 2))
+
+    def test_gather_sum(self):
+        rng = np.random.default_rng(52)
+        x = rng.normal(size=(2, 3, 6)).astype(np.float32)
+        lists = [rng.integers(0, 6, size=n) for n in (9, 0, 4, 12, 1, 7)]
+        # a row's entries receive copies of one value, so here the
+        # positions, not the order, are what can go wrong
+        g = _order_sensitive(rng, (2, 3))
+        _, grad = _forward_and_vjp(lambda t: ad.gather_sum(t, lists), x, g)
+        want = np.zeros((6, 6), dtype=np.float32)
+        for row, i, gi in zip(want, lists, g.reshape(-1)):
+            np.add.at(row, i, gi)
+        assert np.array_equal(grad, want.reshape(x.shape))
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_bilinear_upsample(self, factor):
+        rng = np.random.default_rng(53)
+        x = rng.normal(size=(3, 5, 7)).astype(np.float32)
+        g = _order_sensitive(rng, (3, 5 * factor, 7 * factor))
+        data, grad = _forward_and_vjp(lambda t: ad.bilinear_upsample(t, factor), x, g)
+        i0, i1, ti = ad._bilinear_grids(5, factor)
+        j0, j1, tj = ad._bilinear_grids(7, factor)
+        ti, tj = ti[:, None].astype(np.float32), tj[None, :].astype(np.float32)
+        taps = (
+            ((slice(None), i0[:, None], j0[None, :]), 1 - ti, 1 - tj),
+            ((slice(None), i1[:, None], j0[None, :]), ti, 1 - tj),
+            ((slice(None), i0[:, None], j1[None, :]), 1 - ti, tj),
+            ((slice(None), i1[:, None], j1[None, :]), ti, tj),
+        )
+        want_data, want_grad = None, np.zeros(x.shape, dtype=np.float32)
+        for index, wi, wj in taps:
+            term = x[index] * wi * wj
+            want_data = term if want_data is None else want_data + term
+            np.add.at(want_grad, index, g * wi * wj)
+        assert np.array_equal(data, want_data)
+        assert np.array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu(self, dtype):
+        rng = np.random.default_rng(54)
+        x = rng.normal(scale=2.0, size=(3, 5, 16)).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        data, grad = _forward_and_vjp(ad.gelu, x, g)
+        # the vjp that recomputes the gate
+        t = -0.5 * x
+        t *= x
+        np.exp(t, out=t)
+        t *= ad._INV_SQRT2PI
+        t *= x
+        want = ad._gelu_gate(x)
+        want += t
+        want *= g
+        assert np.array_equal(data, x * ad._gelu_gate(x))
+        assert np.array_equal(grad, want)

@@ -109,6 +109,86 @@ def test_adamw_nonfinite_grad_names_param():
         opt.step()
 
 
+def test_adamw_nonfinite_grad_changes_nothing():
+    # a finite gradient ahead of the offending one must not be applied
+    # either, also when a gradless parameter puts them in separate runs
+    a, b = ad.parameter(np.ones((2, 3))), ad.parameter(np.ones(3))
+    opt = AdamW({"a": a, "frozen": ad.parameter(np.ones((3, 3))), "b": b})
+    a_before, b_before = a.data.copy(), b.data.copy()
+    a.grad = np.full((2, 3), 0.5, dtype=np.float32)
+    b.grad = np.array([1.0, np.nan, 1.0], dtype=np.float32)
+    with pytest.raises(FloatingPointError, match="in b$"):
+        opt.step()
+    assert np.array_equal(a.data, a_before) and np.array_equal(b.data, b_before)
+    assert opt.t == 0
+    assert all(not buf.any() for buf in (*opt.m.values(), *opt.v.values()))
+
+
+def test_adamw_refuses_mixed_dtypes():
+    with pytest.raises(ValueError, match="mixed dtypes"):
+        AdamW({"a": ad.parameter(np.ones(2)), "b": ad.parameter(np.ones(2), dtype=np.float64)})
+
+
+class _LoopAdamW:
+    """The per-parameter AdamW loop the flat-buffer optimizer replaced,
+    kept as the bit-for-bit reference (moments in per-parameter arrays)."""
+
+    def __init__(self, params: dict, cfg: OptimizerConfig):
+        self.params, self.cfg, self.t = params, cfg, 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self) -> None:
+        c = self.cfg
+        self.t += 1
+        b1t = 1.0 - c.beta1**self.t
+        b2t = 1.0 - c.beta2**self.t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            m = self.m[name]
+            v = self.v[name]
+            m *= c.beta1
+            m += (1.0 - c.beta1) * g
+            v *= c.beta2
+            v += (1.0 - c.beta2) * g * g
+            update = (m / b1t) / (np.sqrt(v / b2t) + c.eps)
+            new = p.data - c.lr * update
+            if p.data.ndim >= 2:
+                new = new - c.lr * c.weight_decay * p.data
+            p.assign_(new)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_flat_buffers_match_the_per_parameter_loop(dtype):
+    # ranks interleaved so the flat layout (decayed first) reorders them;
+    # "frozen" never gets a gradient and splits the vectors into two runs
+    shapes = {"w1": (4, 3), "b1": (3,), "frozen": (5,), "w2": (2, 2, 3), "g": (7,), "s": (1,), "w3": (3, 1)}
+    rng = np.random.default_rng(40)
+    init = {k: rng.normal(size=s) for k, s in shapes.items()}
+    cfg = OptimizerConfig(lr=0.05, weight_decay=0.1)
+    sides = []
+    for make in (AdamW, _LoopAdamW):
+        params = {k: ad.parameter(v, dtype=dtype) for k, v in init.items()}
+        sides.append((params, make(params, cfg)))
+    for step in range(3):
+        scale = 10.0 ** rng.integers(-6, 3)
+        grads = {k: rng.normal(scale=scale, size=s) for k, s in shapes.items() if k != "frozen"}
+        for params, opt in sides:
+            for k, grad in grads.items():
+                params[k].grad = grad.astype(dtype)
+            opt.step()
+    (params, opt), (ref_params, ref) = sides
+    assert opt.t == ref.t == 3
+    for k in shapes:
+        assert params[k].data.dtype == dtype
+        assert np.array_equal(params[k].data, ref_params[k].data), k
+        assert np.array_equal(opt.m[k], ref.m[k]), f"m {k}"
+        assert np.array_equal(opt.v[k], ref.v[k]), f"v {k}"
+    assert np.array_equal(params["frozen"].data, init["frozen"].astype(dtype))
+
+
 def test_adamw_matches_reference_two_steps():
     rng = np.random.default_rng(0)
     init = rng.normal(size=(3, 2)).astype(np.float32)
