@@ -25,14 +25,23 @@ weight's gradient within each sample first, then over the samples in
 slot order. A batched graph therefore gives the same bits as building,
 differentiating and dropping one graph per sample.
 
+``conv2d`` and ``bilinear_upsample`` are stacked matrix products as well,
+so the same holds for them. The convolution builds zero-padded 3x3
+windows (im2col, tap-major) only for the side of each product with fewer
+channels, keeping its transients near 9*B*H*W*min(Cin, Cout) numbers;
+the upsample multiplies by separable interpolation matrices. Moving to
+these forms from a per-sample einsum and a four-tap scatter changed
+their rounding once; the old forms stay in the tests as references,
+held to a stated tolerance.
+
 To keep a batch's graph small in memory, cheap intermediates (the
 normalized rows, the attention projections, convolution windows) are
 recomputed in backward rather than saved, and ``backward`` releases each
 node's edges as soon as they have run. The GELU gate is the exception:
 its ``erf`` costs more than the buffer, so the node keeps it.
 
-Scatters (the vjps of ``take_rows``, ``embedding_lookup``, ``gather_sum``
-and ``bilinear_upsample``) add into a zeroed array at flat positions, in
+Scatters (the vjps of ``take_rows``, ``embedding_lookup`` and
+``gather_sum``) add into a zeroed array at flat positions, in
 the C order of the gathered entries. Entries that land on one position
 (duplicate indices) are added one at a time in that order, the order
 ``np.add.at`` uses on the equivalent multi-axis index, so the sums equal
@@ -128,19 +137,6 @@ class Tensor:
                 f"assign_: shape {new_data.shape} != parameter shape {self.data.shape}"
             )
         self.data = new_data
-
-    def backward(self) -> None:
-        backward(self)
-
-    # ---- operator sugar ----
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 class _GradMode(threading.local):
@@ -767,12 +763,39 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     return _make(data, (logits,), (vjp,), "cross_entropy_with_logits")
 
 
+def _offsets(flip: bool) -> list:
+    """Window corners in a 1-padded plane per tap k = 3*di + dj (flipped: tap 8 - k's)."""
+    return [(2 - di, 2 - dj) if flip else (di, dj) for di, dj in np.ndindex(3, 3)]
+
+
+def _taps(a: np.ndarray, flip: bool) -> np.ndarray:
+    """Zero-padded 3x3 windows of ``a`` (B, C, H, W), tap-major: (B, 9*C, H*W)."""
+    b, c, h, w = a.shape
+    ap = np.zeros((b, c, h + 2, w + 2), dtype=a.dtype)
+    ap[..., 1 : h + 1, 1 : w + 1] = a
+    return np.stack([ap[..., i : i + h, j : j + w] for i, j in _offsets(flip)], axis=1).reshape(b, 9 * c, h * w)
+
+
+def _shift_add(y: np.ndarray, h: int, w: int, flip: bool) -> np.ndarray:
+    """Adjoint of ``_taps(., not flip)``: the 9 tap planes of ``y``
+    (B, 9*C, H*W) shifted into place and added in tap order: (B, C, H, W)."""
+    y = y.reshape(len(y), 9, -1, h, w)
+    out = np.zeros((len(y), y.shape[2], h + 2, w + 2), dtype=y.dtype)
+    for k, (i, j) in enumerate(_offsets(not flip)):
+        out[..., i : i + h, j : j + w] += y[:, k]
+    return out[..., 1 : h + 1, 1 : w + 1]
+
+
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1: [Cin,H,W] -> [Cout,H,W].
 
-    A batch [B,Cin,H,W] -> [B,Cout,H,W] runs sample by sample through the
-    same einsum. No im2col windows are kept: the weight vjp rebuilds each
-    sample's windows, and sums the samples' gradients in slot order.
+    A batch [B,Cin,H,W] -> [B,Cout,H,W] is one node of per-sample stacked
+    matrix products, so a sample gets the same bits alone or in a batch.
+    Windows are built for the narrower side only: the forward takes those
+    of ``x`` when Cin <= Cout and otherwise reduces the channels first, then
+    adds the nine shifted planes; the input vjp mirrors it with flipped
+    taps; the weight vjp takes windows of the narrower of ``x`` and ``g``.
+    Rounding differs, once, from the per-sample einsum this replaced.
     """
     _check_same_dtype("conv2d", x, w, *((b,) if b is not None else ()))
     if x.ndim not in (3, 4) or w.ndim != 4 or w.shape[2:] != (3, 3):
@@ -786,98 +809,68 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"conv2d: bias {b.shape} vs {cout} output channels")
 
-    samples = x.data.reshape((-1, cin, h, wd))
+    xs, x_rows = x.data.reshape(-1, cin, h, wd), x.data.reshape(-1, cin, h * wd)
     w9 = w.data.reshape(cout, cin, 9)
-
-    def windows(xs: np.ndarray) -> np.ndarray:
-        """cols[k] is the input window for kernel tap k = 3*di + dj: (9, Cin, H, W)."""
-        xp = np.zeros((cin, h + 2, wd + 2), dtype=xs.dtype)
-        xp[:, 1 : h + 1, 1 : wd + 1] = xs
-        return np.stack([xp[:, di : di + h, dj : dj + wd] for di in range(3) for dj in range(3)])
-
-    data = np.empty((len(samples), cout, h, wd), dtype=x.data.dtype)
-    for out, xs in zip(data, samples):
-        out[...] = np.einsum("ock,kchw->ohw", w9, windows(xs))
-        if b is not None:
-            out += b.data[:, None, None]
+    # w_in[o, k*Cin + c] and w_out[k*Cout + o, c] both hold w[o, c, k]
+    w_in, w_out = w9.transpose(0, 2, 1).reshape(cout, 9 * cin), w9.transpose(2, 0, 1).reshape(9 * cout, cin)
+    data = w_in @ _taps(xs, False) if cin <= cout else _shift_add(w_out @ x_rows, h, wd, False)
     data = data.reshape(x.shape[:-3] + (cout, h, wd))
-
-    def per_sample(g: np.ndarray):
-        return g.reshape((-1, cout, h, wd))
-
-    def sample_x_grad(gs: np.ndarray) -> np.ndarray:
-        gcols = np.einsum("ock,ohw->kchw", w9, gs)
-        gxp = np.zeros((cin, h + 2, wd + 2), dtype=gs.dtype)
-        for k in range(9):
-            di, dj = divmod(k, 3)
-            gxp[:, di : di + h, dj : dj + wd] += gcols[k]
-        return gxp[:, 1 : h + 1, 1 : wd + 1]
+    if b is not None:
+        data += b.data[:, None, None]
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
-        gx = np.empty(samples.shape, dtype=g.dtype)
-        for out, gs in zip(gx, per_sample(g)):
-            out[...] = sample_x_grad(gs)
-        return gx.reshape(x.shape)
+        if cout <= cin:
+            return (w_out.T @ _taps(g.reshape(-1, cout, h, wd), True)).reshape(x.shape)
+        return _shift_add(w_in.T @ g.reshape(-1, cout, h * wd), h, wd, True).reshape(x.shape)
+
+    def vjp_w(g: np.ndarray) -> np.ndarray:
+        # per-sample products, summed over the samples in slot order
+        if cin <= cout:
+            gw = _running_sum(g.reshape(-1, cout, h * wd) @ _taps(xs, False).swapaxes(-1, -2))
+            return gw.reshape(cout, 9, cin).transpose(0, 2, 1).reshape(w.shape)
+        gw = _running_sum(_taps(g.reshape(-1, cout, h, wd), True) @ x_rows.swapaxes(-1, -2))
+        return gw.reshape(9, cout, cin).transpose(1, 2, 0).reshape(w.shape)
 
     parents = [x, w]
-    vjps = [
-        vjp_x,
-        lambda g: _running_sum(
-            np.einsum("ohw,kchw->ock", gs, windows(xs)) for gs, xs in zip(per_sample(g), samples)
-        ).reshape(cout, cin, 3, 3),
-    ]
+    vjps = [vjp_x, vjp_w]
     if b is not None:
         parents.append(b)
-        vjps.append(lambda g: _running_sum(gs.sum(axis=(1, 2)) for gs in per_sample(g)))
+        vjps.append(lambda g: _running_sum(g.reshape(-1, cout, h * wd).sum(axis=-1)))
     return _make(data, tuple(parents), tuple(vjps), "conv2d")
 
 
-def _bilinear_grids(n: int, factor: int):
-    """Source indices and blend weights for half-pixel-center upsampling."""
-    dst = np.arange(n * factor, dtype=np.float64)
-    src = np.clip((dst + 0.5) / factor - 0.5, 0.0, n - 1)
-    i0 = np.floor(src).astype(np.int64)
-    i1 = np.minimum(i0 + 1, n - 1)
-    t = src - i0
-    return i0, i1, t
+def _bilinear_matrix(n: int, factor: int, dtype) -> np.ndarray:
+    """(factor*n, n) half-pixel-center interpolation matrix: row i blends the
+    two source pixels nearest output pixel i, with weights summing to one."""
+    src = np.clip((np.arange(n * factor) + 0.5) / factor - 0.5, 0.0, n - 1)
+    i0, rows = np.floor(src).astype(np.int64), np.arange(n * factor)
+    m = np.zeros((n * factor, n))
+    m[rows, i0] = 1.0 - (src - i0)
+    m[rows, np.minimum(i0 + 1, n - 1)] += src - i0
+    return m.astype(dtype)
 
 
 def bilinear_upsample(x: Tensor, factor: int = 2) -> Tensor:
     """Bilinear upsampling of single-channel images (..., H, W) -> (..., fH, fW).
 
-    Half-pixel-center sampling; blend weights sum to one per output pixel,
-    so constant inputs are preserved exactly. Leading axes index samples.
+    Half-pixel-center sampling, separable: ``R_h @ x @ R_w^T`` with the
+    (fH, H) and (fW, W) interpolation matrices, and vjp ``R_h^T @ g @ R_w``,
+    per sample (leading axes), so a sample gets the same bits alone or in a
+    batch. Rounding differs, once, from the four-tap scatter this replaced.
     """
     if x.ndim < 2:
         raise ShapeError(f"bilinear_upsample: need (..., H, W) images, got {x.shape}")
     if factor < 1:
         raise ShapeError(f"bilinear_upsample: factor {factor} < 1")
-    lead, (h, w) = x.shape[:-2], x.shape[-2:]
-    i0, i1, ti = _bilinear_grids(h, factor)
-    j0, j1, tj = _bilinear_grids(w, factor)
-    ti = ti[:, None].astype(x.data.dtype)
-    tj = tj[None, :].astype(x.data.dtype)
-    # (flat source pixel, row weight, column weight) per output pixel
-    taps = (
-        (i0[:, None] * w + j0[None, :], 1 - ti, 1 - tj),
-        (i1[:, None] * w + j0[None, :], ti, 1 - tj),
-        (i0[:, None] * w + j1[None, :], 1 - ti, tj),
-        (i1[:, None] * w + j1[None, :], ti, tj),
-    )
-    pixels = x.data.reshape(lead + (h * w,))
-    data = None
-    for pixel, wi, wj in taps:
-        term = np.take(pixels, pixel, axis=-1) * wi * wj
-        data = term if data is None else data + term
+    h, w = x.shape[-2:]
+    rh, rw = _bilinear_matrix(h, factor, x.dtype), _bilinear_matrix(w, factor, x.dtype)
+    data = (rh @ x.data.reshape(-1, h, w) @ rw.T).reshape(x.shape[:-2] + (h * factor, w * factor))
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        sample_start = (np.arange(math.prod(lead), dtype=np.int64) * (h * w)).reshape(lead + (1, 1))
-        for pixel, wi, wj in taps:
-            _scatter_add(gx, sample_start + pixel, g * wi * wj)
-        return gx
+        return (rh.T @ g.reshape(-1, h * factor, w * factor) @ rw).reshape(x.shape)
 
     return _make(data, (x,), (vjp,), "bilinear_upsample")
+
 
 # ---------------------------------------------------------------------------
 # backward pass

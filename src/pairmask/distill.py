@@ -254,21 +254,21 @@ class HttpChatClient:
         self.timeout = timeout
 
     def complete(self, messages: list) -> str:
-        import requests
+        import urllib.request  # loads http and ssl: several MB that only this call needs
 
         key = os.environ.get(self.credential_env)
         if not key:
             raise RuntimeError(
                 f"missing API credential: set the {self.credential_env} environment variable"
             )
-        resp = requests.post(
+        body = {"model": self.model, "messages": messages, "temperature": self.temperature}
+        request = urllib.request.Request(
             f"{self.base_url}/chat/completions",
-            json={"model": self.model, "messages": messages, "temperature": self.temperature},
-            headers={"Authorization": f"Bearer {key}"},
-            timeout=self.timeout,
+            data=json.dumps(body).encode(),
+            headers={"Authorization": f"Bearer {key}", "Content-Type": "application/json"},
         )
-        resp.raise_for_status()
-        return resp.json()["choices"][0]["message"]["content"]
+        with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+            return json.loads(resp.read())["choices"][0]["message"]["content"]
 
 
 class DistillError(RuntimeError):

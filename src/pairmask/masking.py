@@ -146,12 +146,12 @@ def patchify(image: np.ndarray, patch: int) -> np.ndarray:
 
 
 def unpatchify(patches: np.ndarray, height: int, width: int, patch: int) -> np.ndarray:
-    """Inverse of :func:`patchify` for one image."""
+    """Inverse of :func:`patchify`: [..., N, patch*patch] -> [..., H, W]."""
     gh, gw = height // patch, width // patch
-    if patches.shape != (gh * gw, patch * patch):
-        raise ValueError(f"unpatchify: got {patches.shape}, expected {(gh * gw, patch * patch)}")
-    tiles = patches.reshape(gh, gw, patch, patch).transpose(0, 2, 1, 3)
-    return tiles.reshape(height, width)
+    if patches.shape[-2:] != (gh * gw, patch * patch):
+        raise ValueError(f"unpatchify: got {patches.shape}, expected (..., {gh * gw}, {patch * patch})")
+    tiles = patches.reshape(*patches.shape[:-2], gh, gw, patch, patch).swapaxes(-3, -2)
+    return tiles.reshape(*patches.shape[:-2], height, width)
 
 
 def _tile_axes(lead: int) -> tuple:

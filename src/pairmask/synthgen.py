@@ -172,10 +172,11 @@ def downsample(image: np.ndarray, factor: int = 2) -> np.ndarray:
 
 
 class GroundTruthAttention:
-    """Attention provider backed by the generator's lesion masks."""
+    """Attention provider backed by the generator's lesion masks: the
+    ``attention_map`` that ``gen_sample`` and ``load_dataset`` store."""
 
     def __call__(self, sample: SynthSample) -> np.ndarray:
-        return attention_map(sample.lesion_mask)
+        return sample.attention
 
 
 # ---------------------------------------------------------------------------

@@ -553,7 +553,9 @@ class TestScattersAndGeluBitExact:
     """The flat scatters and the saved GELU gate against the multi-axis
     ``np.add.at`` calls, per-row loop and gate-recomputing vjp they
     replaced, bit for bit. Duplicate indices land order-sensitive float32
-    values on one entry, so a changed addition order shows."""
+    values on one entry, so a changed addition order shows.
+    ``bilinear_upsample`` is no longer a scatter; its four-tap reference
+    is held to the tolerance contract of ``TestConvAndBilinearContract``."""
 
     def test_take_rows(self):
         rng = np.random.default_rng(50)
@@ -597,26 +599,13 @@ class TestScattersAndGeluBitExact:
 
     @pytest.mark.parametrize("factor", [2, 3])
     def test_bilinear_upsample(self, factor):
+        # the separable matrices round differently from these four taps,
+        # so this one is held to the stated tolerance, not bit for bit
         rng = np.random.default_rng(53)
         x = rng.normal(size=(3, 5, 7)).astype(np.float32)
         g = _order_sensitive(rng, (3, 5 * factor, 7 * factor))
-        data, grad = _forward_and_vjp(lambda t: ad.bilinear_upsample(t, factor), x, g)
-        i0, i1, ti = ad._bilinear_grids(5, factor)
-        j0, j1, tj = ad._bilinear_grids(7, factor)
-        ti, tj = ti[:, None].astype(np.float32), tj[None, :].astype(np.float32)
-        taps = (
-            ((slice(None), i0[:, None], j0[None, :]), 1 - ti, 1 - tj),
-            ((slice(None), i1[:, None], j0[None, :]), ti, 1 - tj),
-            ((slice(None), i0[:, None], j1[None, :]), 1 - ti, tj),
-            ((slice(None), i1[:, None], j1[None, :]), ti, tj),
-        )
-        want_data, want_grad = None, np.zeros(x.shape, dtype=np.float32)
-        for index, wi, wj in taps:
-            term = x[index] * wi * wj
-            want_data = term if want_data is None else want_data + term
-            np.add.at(want_grad, index, g * wi * wj)
-        assert np.array_equal(data, want_data)
-        assert np.array_equal(grad, want_grad)
+        got = _forward_and_vjp(lambda t: ad.bilinear_upsample(t, factor), x, g)
+        _assert_within_contract(got, _four_tap_bilinear(x, factor, g))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu(self, dtype):
@@ -635,3 +624,141 @@ class TestScattersAndGeluBitExact:
         want *= g
         assert np.array_equal(data, x * ad._gelu_gate(x))
         assert np.array_equal(grad, want)
+
+
+# ---------------------------------------------------------------------------
+# conv2d and bilinear_upsample: the replaced per-sample einsum and four-tap
+# scatter as references, under a stated tolerance
+# ---------------------------------------------------------------------------
+
+# largest |got - want| allowed, as a fraction of max |want| of each output
+CONTRACT_TOL = {np.dtype(np.float32): 2e-6, np.dtype(np.float64): 1e-10}
+
+
+def _assert_within_contract(got, want):
+    for name, a, b in zip(("forward", "vjp x", "vjp w", "vjp b"), got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        err = np.abs(a - b).max() / np.abs(b).max()
+        assert err <= CONTRACT_TOL[b.dtype], f"{name}: {err:.2e} of scale"
+
+
+def _einsum_conv2d(x, w, b, g):
+    """The per-sample einsum conv2d: output and the vjps of x, w, b for ``g``."""
+    cin, h, wd = x.shape[-3:]
+    cout = w.shape[0]
+    samples, gs = x.reshape(-1, cin, h, wd), g.reshape(-1, cout, h, wd)
+    w9 = w.reshape(cout, cin, 9)
+
+    def windows(xs):
+        xp = np.zeros((cin, h + 2, wd + 2), dtype=xs.dtype)
+        xp[:, 1 : h + 1, 1 : wd + 1] = xs
+        return np.stack([xp[:, di : di + h, dj : dj + wd] for di in range(3) for dj in range(3)])
+
+    out, gx = np.empty(gs.shape, dtype=x.dtype), np.empty(samples.shape, dtype=x.dtype)
+    for o, gxs, xs, gi in zip(out, gx, samples, gs):
+        o[...] = np.einsum("ock,kchw->ohw", w9, windows(xs)) + b[:, None, None]
+        gcols = np.einsum("ock,ohw->kchw", w9, gi)
+        gxp = np.zeros((cin, h + 2, wd + 2), dtype=x.dtype)
+        for k in range(9):
+            di, dj = divmod(k, 3)
+            gxp[:, di : di + h, dj : dj + wd] += gcols[k]
+        gxs[...] = gxp[:, 1 : h + 1, 1 : wd + 1]
+    gw = ad._running_sum(np.einsum("ohw,kchw->ock", gi, windows(xs)) for gi, xs in zip(gs, samples))
+    gb = ad._running_sum(gi.sum(axis=(1, 2)) for gi in gs)
+    return out.reshape(g.shape), gx.reshape(x.shape), gw.reshape(w.shape), gb
+
+
+def _four_tap_bilinear(x, factor, g):
+    """The four-tap gather and ``np.add.at`` scatter bilinear_upsample:
+    output and the vjp of x for ``g``."""
+
+    def grids(n):
+        src = np.clip((np.arange(n * factor, dtype=np.float64) + 0.5) / factor - 0.5, 0.0, n - 1)
+        i0 = np.floor(src).astype(np.int64)
+        return i0, np.minimum(i0 + 1, n - 1), src - i0
+
+    (i0, i1, ti), (j0, j1, tj) = grids(x.shape[-2]), grids(x.shape[-1])
+    ti, tj = ti[:, None].astype(x.dtype), tj[None, :].astype(x.dtype)
+    taps = (
+        ((Ellipsis, i0[:, None], j0[None, :]), 1 - ti, 1 - tj),
+        ((Ellipsis, i1[:, None], j0[None, :]), ti, 1 - tj),
+        ((Ellipsis, i0[:, None], j1[None, :]), 1 - ti, tj),
+        ((Ellipsis, i1[:, None], j1[None, :]), ti, tj),
+    )
+    data, grad = None, np.zeros(x.shape, dtype=x.dtype)
+    for index, wi, wj in taps:
+        term = x[index] * wi * wj
+        data = term if data is None else data + term
+        np.add.at(grad, index, g * wi * wj)
+    return data, grad
+
+
+def _conv_forward_and_vjps(x, w, b, g):
+    """``conv2d(x, w, b)`` and its vjps applied to ``g``, through ``backward``."""
+    leaves = [ad.parameter(a, dtype=a.dtype) for a in (x, w, b)]
+    out = ad.conv2d(*leaves)
+    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g, dtype=g.dtype))))
+    return [out.data] + [t.grad for t in leaves]
+
+
+# (Cin, Cout): windows of x (Cin < Cout), channels reduced first (Cin > Cout), equal
+CONV_BRANCHES = [(1, 4), (4, 1), (1, 8), (8, 1), (3, 3), (2, 5), (5, 2)]
+
+
+class TestConvAndBilinearContract:
+    """The BLAS ``conv2d`` and separable ``bilinear_upsample`` against the
+    nodes they replaced, within ``CONTRACT_TOL``; finite-difference checks
+    of every conv branch; one sample alone against the same sample in a
+    batch of 5, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin, cout", CONV_BRANCHES)
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+    def test_conv2d_against_einsum(self, dtype, cin, cout, lead):
+        rng = np.random.default_rng(60 + cin + 10 * cout)
+        x = rng.normal(size=lead + (cin, 9, 13)).astype(dtype)
+        w = rng.normal(size=(cout, cin, 3, 3)).astype(dtype)
+        b = rng.normal(size=cout).astype(dtype)
+        g = rng.normal(size=lead + (cout, 9, 13)).astype(dtype)
+        _assert_within_contract(_conv_forward_and_vjps(x, w, b, g), _einsum_conv2d(x, w, b, g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, factor", [((3, 5, 7), 2), ((6, 4), 3), ((2, 2, 32, 32), 2)])
+    def test_bilinear_upsample_against_four_taps(self, dtype, shape, factor):
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=shape).astype(dtype)
+        g = rng.normal(size=shape[:-2] + (shape[-2] * factor, shape[-1] * factor)).astype(dtype)
+        got = _forward_and_vjp(lambda t: ad.bilinear_upsample(t, factor), x, g)
+        _assert_within_contract(got, _four_tap_bilinear(x, factor, g))
+
+    @pytest.mark.parametrize("cin, cout", [(1, 3), (3, 1), (2, 2)], ids=["cin<cout", "cin>cout", "cin=cout"])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["one", "batch"])
+    def test_conv2d_gradcheck_every_branch(self, cin, cout, lead):
+        rng = np.random.default_rng(62)
+        x, w, b = t64(rng, *lead, cin, 4, 5), t64(rng, cout, cin, 3, 3), t64(rng, cout)
+        m = ad.constant(rng.normal(size=lead + (cout, 4, 5)), dtype=np.float64)
+        check(lambda ts: ad.sum_all(ad.mul(ad.conv2d(ts[0], ts[1], ts[2]), m)), [x, w, b])
+
+    @pytest.mark.parametrize("cin, cout", [(1, 4), (4, 1), (3, 3)], ids=["cin<cout", "cin>cout", "cin=cout"])
+    def test_conv2d_sample_alone_equals_sample_in_batch(self, cin, cout):
+        rng = np.random.default_rng(63)
+        x = rng.normal(size=(5, cin, 12, 10)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, 3, 3)).astype(np.float32)
+        b = rng.normal(size=cout).astype(np.float32)
+        g = _order_sensitive(rng, (5, cout, 12, 10))
+        batch = _conv_forward_and_vjps(x, w, b, g)
+        alone = [_conv_forward_and_vjps(x[i], w, b, g[i]) for i in range(5)]
+        for i, (out, gx, gw, gb) in enumerate(alone):
+            assert np.array_equal(out, batch[0][i]) and np.array_equal(gx, batch[1][i])
+        # the batch's parameter gradients are the samples' own, added in slot order
+        assert np.array_equal(batch[2], ad._running_sum(a[2] for a in alone))
+        assert np.array_equal(batch[3], ad._running_sum(a[3] for a in alone))
+
+    def test_bilinear_sample_alone_equals_sample_in_batch(self):
+        rng = np.random.default_rng(64)
+        x = rng.normal(size=(5, 12, 10)).astype(np.float32)
+        g = rng.normal(size=(5, 24, 20)).astype(np.float32)
+        out, gx = _forward_and_vjp(ad.bilinear_upsample, x, g)
+        for i in range(5):
+            one_out, one_gx = _forward_and_vjp(ad.bilinear_upsample, x[i], g[i])
+            assert np.array_equal(one_out, out[i]) and np.array_equal(one_gx, gx[i])

@@ -1,6 +1,10 @@
 """Distillation: prompt assembly, parsing, rule-based path, remote client."""
 
+import http.server
 import json
+import threading
+import urllib.error
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +213,72 @@ class TestRemote:
         client = distill.HttpChatClient("http://example.invalid", "some-model")
         with pytest.raises(RuntimeError, match=distill.DEFAULT_CREDENTIAL_ENV):
             client.complete([{"role": "user", "content": "x"}])
+
+
+@contextmanager
+def chat_server(status, reply):
+    """A local chat-completions endpoint on 127.0.0.1 that answers every
+    POST with ``status`` and the JSON ``reply``; yields its base URL and
+    the list of (path, headers, body) requests it received."""
+    received = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            received.append((self.path, dict(self.headers), json.loads(body)))
+            payload = json.dumps(reply).encode()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1", received
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+class TestHttpChatClient:
+    MESSAGES = [{"role": "user", "content": "summarise"}]
+
+    def test_posts_json_with_bearer_header(self, monkeypatch):
+        monkeypatch.setenv(distill.DEFAULT_CREDENTIAL_ENV, "sk-test")
+        reply = {"choices": [{"message": {"content": "There is mild edema."}}]}
+        with chat_server(200, reply) as (url, received):
+            client = distill.HttpChatClient(url + "/", "some-model", temperature=0.5, timeout=5)
+            assert client.complete(self.MESSAGES) == "There is mild edema."
+        [(path, headers, body)] = received
+        assert path == "/v1/chat/completions"
+        assert headers["Authorization"] == "Bearer sk-test"
+        assert headers["Content-Type"] == "application/json"
+        assert body == {"model": "some-model", "messages": self.MESSAGES, "temperature": 0.5}
+
+    def test_error_status_raises(self, monkeypatch):
+        monkeypatch.setenv(distill.DEFAULT_CREDENTIAL_ENV, "sk-test")
+        with chat_server(503, {"error": "overloaded"}) as (url, received):
+            client = distill.HttpChatClient(url, "some-model", timeout=5)
+            with pytest.raises(urllib.error.HTTPError) as info:
+                client.complete(self.MESSAGES)
+        assert info.value.code == 503 and len(received) == 1
+
+    def test_error_status_retried_by_distill_remote(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(distill.DEFAULT_CREDENTIAL_ENV, "sk-test")
+        with chat_server(500, {}) as (url, received):
+            client = distill.HttpChatClient(url, "some-model", timeout=5)
+            prompt = distill.build_prompt("r", ["edema"])
+            with pytest.raises(distill.DistillError, match="HTTP Error 500"):
+                distill.distill_remote(prompt, client, tmp_path, sleep=lambda s: None)
+        assert len(received) == 3
 
 
 class TestConcat:

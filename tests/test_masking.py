@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairmask import autodiff as ad
 from pairmask import corpus, masking
 
 
@@ -159,6 +160,29 @@ class TestPatchify:
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             masking.patchify(np.zeros((10, 10)), 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.lists(st.integers(min_value=1, max_value=3), max_size=2),
+    gh=st.integers(min_value=1, max_value=4),
+    gw=st.integers(min_value=1, max_value=4),
+    patch=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_patchify_round_trip_property(lead, gh, gw, patch, seed):
+    h, w = gh * patch, gw * patch
+    img = np.random.default_rng(seed).normal(size=(*lead, h, w))
+    patches = masking.patchify(img, patch)
+    assert patches.shape == (*lead, gh * gw, patch * patch)
+    # each sample's rows are that image's own patches
+    for i in np.ndindex(*lead):
+        np.testing.assert_array_equal(patches[i], masking.patchify(img[i], patch))
+    np.testing.assert_array_equal(masking.unpatchify(patches, h, w, patch), img)
+    np.testing.assert_array_equal(masking.patchify(masking.unpatchify(patches, h, w, patch), patch), patches)
+    rows = masking.patchify_t(ad.constant(img, dtype=np.float64), patch)
+    np.testing.assert_array_equal(rows.data, patches)
+    np.testing.assert_array_equal(masking.unpatchify_t(rows, h, w, patch).data, img)
 
 
 @settings(max_examples=60, deadline=None)

@@ -138,6 +138,13 @@ class TestAttention:
         a = synthgen.GroundTruthAttention()(s)
         np.testing.assert_array_equal(a, s.attention)
 
+    def test_ground_truth_provider_returns_the_stored_map(self, tmp_path):
+        samples = synthgen.gen_dataset(small_spec(p_positive=0.5), 4)
+        synthgen.save_dataset(samples, tmp_path)
+        for s in samples + synthgen.load_dataset(tmp_path):
+            np.testing.assert_array_equal(s.attention, synthgen.attention_map(s.lesion_mask))
+            assert synthgen.GroundTruthAttention()(s) is s.attention
+
 
 class TestDownsample:
     def test_matches_explicit_pooling_loop(self):

@@ -189,6 +189,29 @@ def test_adamw_flat_buffers_match_the_per_parameter_loop(dtype):
     assert np.array_equal(params["frozen"].data, init["frozen"].astype(dtype))
 
 
+def test_adamw_chunked_runs_match_the_per_parameter_loop(monkeypatch):
+    # with runs closed at 8 elements, one run spans the decayed/undecayed
+    # boundary and the rest split at parameter boundaries
+    monkeypatch.setattr(AdamW, "CHUNK", 8)
+    shapes = {"w1": (4, 3), "b1": (3,), "frozen": (5,), "w2": (2, 2, 3), "g": (7,), "s": (1,), "w3": (3, 1)}
+    rng = np.random.default_rng(41)
+    init = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+    cfg = OptimizerConfig(lr=0.05, weight_decay=0.1)
+    params = {k: ad.parameter(v) for k, v in init.items()}
+    ref_params = {k: ad.parameter(v) for k, v in init.items()}
+    opt, ref = AdamW(params, cfg), _LoopAdamW(ref_params, cfg)
+    for _ in range(3):
+        for k, s in shapes.items():
+            if k != "frozen":
+                params[k].grad = ref_params[k].grad = rng.normal(size=s).astype(np.float32)
+        assert opt._runs() == [["w1"], ["w2"], ["w3", "b1"], ["g", "s"]]
+        opt.step()
+        ref.step()
+    for k in shapes:
+        assert np.array_equal(params[k].data, ref_params[k].data), k
+        assert np.array_equal(opt.m[k], ref.m[k]) and np.array_equal(opt.v[k], ref.v[k]), k
+
+
 def test_adamw_matches_reference_two_steps():
     rng = np.random.default_rng(0)
     init = rng.normal(size=(3, 2)).astype(np.float32)
