@@ -37,8 +37,11 @@ held to a stated tolerance.
 To keep a batch's graph small in memory, cheap intermediates (the
 normalized rows, the attention projections, convolution windows) are
 recomputed in backward rather than saved, and ``backward`` releases each
-node's edges as soon as they have run. The GELU gate is the exception:
-its ``erf`` costs more than the buffer, so the node keeps it.
+node's edges as soon as they have run. Two nodes keep what costs more
+time to rebuild than it costs memory to hold: GELU keeps its gate (an
+``erf``), and attention keeps its softmax probabilities and joined
+context. Each vjp takes its saved arrays out once, so they go as soon as
+the node's backward has run.
 
 Scatters (the vjps of ``take_rows``, ``embedding_lookup`` and
 ``gather_sum``) add into a zeroed array at flat positions, in
@@ -367,9 +370,11 @@ def attention(
     tensor twice for self-attention. Each projection is ``x @ w + b``
     with w (D, D); heads split the width into ``heads`` blocks, and the
     output is ``softmax(q k^T / sqrt(D/heads)) v`` joined and projected
-    by ``wo``, ``bo``: (..., Lq, D). The node saves only the softmax row
-    max and row sum; the vjp recomputes the projections and, from those
-    statistics, the probabilities (FlashAttention, arXiv 2205.14135).
+    by ``wo``, ``bo``: (..., Lq, D). The node keeps the probabilities and
+    the joined context, and its vjp recomputes only the three head
+    projections: at sequence lengths of tens, FlashAttention's recompute
+    (arXiv 2205.14135) costs more time than these arrays cost memory. The
+    vjp takes them out, so they are freed once the node's backward ran.
     """
     weights = {"wq": wq, "bq": bq, "wk": wk, "bk": bk, "wv": wv, "bv": bv, "wo": wo, "bo": bo}
     _check_same_dtype("attention", query, kv, *weights.values())
@@ -403,22 +408,25 @@ def attention(
     # one (..., h, Lq, Lk) buffer goes scores -> exp -> probabilities in place
     probs = qh @ kh.swapaxes(-1, -2)
     probs *= scale
-    row_max = probs.max(axis=-1, keepdims=True)
-    probs -= row_max
+    probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    row_sum = probs.sum(axis=-1, keepdims=True)
-    probs /= row_sum
-    data = join(probs @ vh) @ wo.data + bo.data
+    probs /= probs.sum(axis=-1, keepdims=True)
+    ctx = join(probs @ vh)
+    data = ctx @ wo.data + bo.data
+    # the vjp takes these out once; the projections, one GEMM each, are
+    # recomputed instead, which keeps a batch's saved state smaller
+    saved = [(probs, ctx)]
 
     def grads(g: np.ndarray) -> tuple:
-        # the projections, probabilities and context are recomputed with
-        # the forward's expressions, so they equal what it had
+        probs, ctx = saved.pop()
+        # with the forward's expressions, so they equal what it had
         qh, kh, vh = project(query.data, wq, bq), project(kv.data, wk, bk), project(kv.data, wv, bv)
-        probs = np.exp((qh @ kh.swapaxes(-1, -2)) * scale - row_max) / row_sum
-        ctx = join(probs @ vh)
         gctx = (g @ wo.data.T).reshape(lead + (lq, heads, hd)).swapaxes(-3, -2)
-        gp = gctx @ vh.swapaxes(-1, -2)
-        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+        # softmax backward in the (..., h, Lq, Lk) buffer of gctx @ vh^T
+        gs = gctx @ vh.swapaxes(-1, -2)
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale
         out = {"wo": _weight_grad(ctx, g), "bo": _row_sum(g)}
         dx = {}
         for tag, x, gh in (
@@ -818,9 +826,18 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if b is not None:
         data += b.data[:, None, None]
 
+    # when Cout <= Cin both vjps take the flipped windows of one incoming
+    # g; they are built once, and dropped by vjp_w, the last to run
+    g_taps: list = [None, None]
+
+    def flipped_taps(g: np.ndarray) -> np.ndarray:
+        if g_taps[0] is not g:
+            g_taps[:] = g, _taps(g.reshape(-1, cout, h, wd), True)
+        return g_taps[1]
+
     def vjp_x(g: np.ndarray) -> np.ndarray:
         if cout <= cin:
-            return (w_out.T @ _taps(g.reshape(-1, cout, h, wd), True)).reshape(x.shape)
+            return (w_out.T @ flipped_taps(g)).reshape(x.shape)
         return _shift_add(w_in.T @ g.reshape(-1, cout, h * wd), h, wd, True).reshape(x.shape)
 
     def vjp_w(g: np.ndarray) -> np.ndarray:
@@ -828,7 +845,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         if cin <= cout:
             gw = _running_sum(g.reshape(-1, cout, h * wd) @ _taps(xs, False).swapaxes(-1, -2))
             return gw.reshape(cout, 9, cin).transpose(0, 2, 1).reshape(w.shape)
-        gw = _running_sum(_taps(g.reshape(-1, cout, h, wd), True) @ x_rows.swapaxes(-1, -2))
+        taps = flipped_taps(g)
+        g_taps[:] = None, None
+        gw = _running_sum(taps @ x_rows.swapaxes(-1, -2))
         return gw.reshape(9, cout, cin).transpose(1, 2, 0).reshape(w.shape)
 
     parents = [x, w]

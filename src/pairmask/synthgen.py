@@ -130,8 +130,9 @@ def gen_sample(spec: SynthSpec, rng: np.random.Generator, sample_id: str = "synt
         mask |= support
         sentences.append(f"there is {severity} {entity}.")
         labels[entity] = LABEL_PRESENT
-    image = np.clip(image, 0.0, 1.0).astype(np.float32)
-    mask = mask.astype(np.float32)
+    # C order, as load_dataset gives: a reloaded sample is the same arrays
+    image = np.ascontiguousarray(np.clip(image, 0.0, 1.0), dtype=np.float32)
+    mask = np.ascontiguousarray(mask, dtype=np.float32)
     return SynthSample(
         id=sample_id,
         report=" ".join(sentences),
@@ -163,12 +164,30 @@ def attention_map(lesion_mask: np.ndarray) -> np.ndarray:
 
 
 def downsample(image: np.ndarray, factor: int = 2) -> np.ndarray:
-    """Average pooling by ``factor`` in each spatial dimension."""
-    h, w = image.shape
+    """Average pooling of float images by ``factor`` over the last two axes:
+    (..., H, W) -> (..., H/factor, W/factor); axes before them index images.
+
+    Each block is summed in a fixed order, whatever the memory layout:
+    each of its rows left to right, then the row sums top to bottom, each
+    sum starting from zero; then divided by factor**2. For factors below 8
+    and at least two blocks per row, that is numpy's ``mean(axis=(1, 3))``
+    over the blocks of a C-ordered image, bit for bit. A stack of images
+    pools to the bits of each image alone.
+    """
+    if image.ndim < 2:
+        raise ValueError(f"downsample: need (..., H, W) images, got {image.shape}")
+    h, w = image.shape[-2:]
     if h % factor or w % factor:
         raise ValueError(f"downsample: {image.shape} not divisible by factor {factor}")
-    pooled = image.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
-    return pooled.astype(image.dtype)
+    blocks = image.reshape(image.shape[:-2] + (h // factor, factor, w // factor, factor))
+    total = np.zeros(image.shape[:-2] + (h // factor, w // factor), dtype=image.dtype)
+    for i in range(factor):
+        row = np.zeros_like(total)
+        for j in range(factor):
+            row += blocks[..., i, :, j]
+        total += row
+    total /= factor * factor
+    return total
 
 
 class GroundTruthAttention:

@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import autodiff as ad
 from . import corpus as corpus_mod
@@ -343,7 +342,8 @@ def _losses(
             raise ValueError(
                 f"sample {sample.id}: side {side} vs model target {cfg.image_size * cfg.sr_factor}"
             )
-    low = stacked([downsample(s.image, cfg.sr_factor).astype(dtype) for s in samples])
+    images = stacked([s.image for s in samples])
+    low = downsample(images, cfg.sr_factor).astype(dtype)
 
     plans = [plan_patch_mask(cfg.n_patches, rng, ratio=cfg.patch_mask_ratio) for rng in rngs_image]
     visible = stacked([np.array(plan.visible, dtype=np.int64) for plan in plans])
@@ -354,7 +354,7 @@ def _losses(
 
     if use_sr:
         weights = stacked([s.attention if attention is None else attention(s) for s in samples])
-        hi = stacked([s.image.astype(dtype) for s in samples])
+        hi = images.astype(dtype)
         sr = loss_sr(model.sr_head(recon), hi, weights)
     else:
         sr = ad.constant(np.zeros(mim.shape), dtype=dtype)
@@ -648,7 +648,7 @@ def eval_descriptor_accuracy(
     total = 0
     with ad.no_grad():
         for chunk in chunks:
-            low = np.stack([downsample(samples[i].image, cfg.sr_factor).astype(np.float32) for i in chunk])
+            low = downsample(np.stack([samples[i].image for i in chunk]), cfg.sr_factor).astype(np.float32)
             f_v = model.encode_image(patchify(low, cfg.patch), range(cfg.n_patches))
             plans, ids = [], []
             for i in chunk:
@@ -680,13 +680,17 @@ def extract_features(model: Model, samples: Sequence[SynthSample]) -> np.ndarray
     with ad.no_grad():
         for start in range(0, len(samples), EVAL_CHUNK):
             chunk = samples[start : start + EVAL_CHUNK]
-            low = np.stack([downsample(s.image, model.cfg.sr_factor).astype(np.float32) for s in chunk])
+            low = downsample(np.stack([s.image for s in chunk]), model.cfg.sr_factor).astype(np.float32)
             rows.append(model.forward_finetune(low, mode="global").data.astype(np.float64))
     return np.concatenate(rows)
 
 
 def _fit_logistic(x: np.ndarray, y: np.ndarray, l2: float = 1e-3) -> np.ndarray:
     """L2-regularized logistic regression via L-BFGS; returns [w, b]."""
+    # imported here: scipy.optimize costs every process about 0.3 s and
+    # 20 MB of memory at import, and only the probe uses it
+    from scipy.optimize import minimize
+
     n, d = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
 

@@ -5,6 +5,8 @@ The oracle throughout is central finite differences at float64
 relative. Shape and graph-misuse errors are checked separately.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -762,3 +764,165 @@ class TestConvAndBilinearContract:
         for i in range(5):
             one_out, one_gx = _forward_and_vjp(ad.bilinear_upsample, x[i], g[i])
             assert np.array_equal(one_out, out[i]) and np.array_equal(one_gx, gx[i])
+
+
+# ---------------------------------------------------------------------------
+# attention and conv2d backward from saved or shared arrays, against the
+# recomputing and unshared forms they replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _recompute_attention(query, kv, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+    """The attention node whose vjp recomputed the projections, the
+    probabilities (from the saved row max and row sum) and the context."""
+    weights = {"wq": wq, "bq": bq, "wk": wk, "bk": bk, "wv": wv, "bv": bv, "wo": wo, "bo": bo}
+    d = query.shape[-1]
+    lead, lq, hd = query.shape[:-2], query.shape[-2], d // heads
+    scale = np.asarray(1.0 / np.sqrt(hd), dtype=query.data.dtype)
+
+    def project(x, w, b):
+        y = x @ w.data + b.data
+        return y.reshape(x.shape[:-1] + (heads, hd)).swapaxes(-3, -2)
+
+    def join(h):
+        return h.swapaxes(-3, -2).reshape(h.shape[:-3] + (h.shape[-2], d))
+
+    qh, kh, vh = project(query.data, wq, bq), project(kv.data, wk, bk), project(kv.data, wv, bv)
+    probs = qh @ kh.swapaxes(-1, -2)
+    probs *= scale
+    row_max = probs.max(axis=-1, keepdims=True)
+    probs -= row_max
+    np.exp(probs, out=probs)
+    row_sum = probs.sum(axis=-1, keepdims=True)
+    probs /= row_sum
+    data = join(probs @ vh) @ wo.data + bo.data
+
+    def grads(g):
+        qh, kh, vh = project(query.data, wq, bq), project(kv.data, wk, bk), project(kv.data, wv, bv)
+        probs = np.exp((qh @ kh.swapaxes(-1, -2)) * scale - row_max) / row_sum
+        ctx = join(probs @ vh)
+        gctx = (g @ wo.data.T).reshape(lead + (lq, heads, hd)).swapaxes(-3, -2)
+        gp = gctx @ vh.swapaxes(-1, -2)
+        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+        out = {"wo": ad._weight_grad(ctx, g), "bo": ad._row_sum(g)}
+        dx = {}
+        for tag, x, gh in (
+            ("q", query, gs @ kh),
+            ("k", kv, gs.swapaxes(-1, -2) @ qh),
+            ("v", kv, probs.swapaxes(-1, -2) @ gctx),
+        ):
+            gh = join(gh)
+            dx[tag] = gh @ weights[f"w{tag}"].data.T
+            out[f"w{tag}"] = ad._weight_grad(x.data, gh)
+            out[f"b{tag}"] = ad._row_sum(gh)
+        inputs = (dx["q"] + dx["k"] + dx["v"],) if kv is query else (dx["q"], dx["k"] + dx["v"])
+        return inputs + tuple(out[name] for name in weights)
+
+    parents = ((query,) if kv is query else (query, kv)) + tuple(weights.values())
+    vjps = tuple((lambda g, i=i: grads(g)[i]) for i in range(len(parents)))
+    return ad._make(data, parents, vjps, "attention")
+
+
+def _unshared_conv_vjps(x, w, g):
+    """The vjps of ``conv2d`` for x and w, each building its own windows."""
+    cin, h, wd = x.shape[-3:]
+    cout = w.shape[0]
+    xs, x_rows = x.reshape(-1, cin, h, wd), x.reshape(-1, cin, h * wd)
+    w9 = w.reshape(cout, cin, 9)
+    w_in, w_out = w9.transpose(0, 2, 1).reshape(cout, 9 * cin), w9.transpose(2, 0, 1).reshape(9 * cout, cin)
+    if cout <= cin:
+        gx = (w_out.T @ ad._taps(g.reshape(-1, cout, h, wd), True)).reshape(x.shape)
+    else:
+        gx = ad._shift_add(w_in.T @ g.reshape(-1, cout, h * wd), h, wd, True).reshape(x.shape)
+    if cin <= cout:
+        gw = ad._running_sum(g.reshape(-1, cout, h * wd) @ ad._taps(xs, False).swapaxes(-1, -2))
+        gw = gw.reshape(cout, 9, cin).transpose(0, 2, 1).reshape(w.shape)
+    else:
+        gw = ad._running_sum(ad._taps(g.reshape(-1, cout, h, wd), True) @ x_rows.swapaxes(-1, -2))
+        gw = gw.reshape(9, cout, cin).transpose(1, 2, 0).reshape(w.shape)
+    return gx, gw
+
+
+class TestSavedForwardBitExact:
+    """``attention``'s vjp reads the probabilities and context its forward
+    built instead of recomputing them, and ``conv2d`` builds the flipped
+    windows of ``g`` once for both vjps; outputs and every gradient equal
+    the replaced forms bit for bit, and the saved arrays do not outlive
+    the backward."""
+
+    @staticmethod
+    def _attention_run(op, lead, lq, lk, heads, self_attention, dtype):
+        rng = np.random.default_rng(70 + heads + lq)
+        d = 8
+        query = ad.parameter(rng.normal(size=lead + (lq, d)), dtype=dtype)
+        kv = query if self_attention else ad.parameter(rng.normal(size=lead + (lk, d)), dtype=dtype)
+        weights = [
+            ad.parameter(rng.normal(0, 0.5, size=(d, d) if i % 2 == 0 else d), dtype=dtype) for i in range(8)
+        ]
+        g = ad.constant(rng.normal(size=lead + (lq, d)), dtype=dtype)
+        out = op(query, kv, *weights, heads=heads)
+        ad.backward(ad.sum_all(ad.mul(out, g)))
+        leaves = [query] + ([] if self_attention else [kv]) + weights
+        return [out.data] + [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+    @pytest.mark.parametrize("lq, lk, self_attention", [(5, 5, True), (4, 7, False)], ids=["self", "cross"])
+    def test_attention_equals_recomputing_node(self, lq, lk, self_attention, lead, heads, dtype):
+        got = self._attention_run(ad.attention, lead, lq, lk, heads, self_attention, dtype)
+        want = self._attention_run(_recompute_attention, lead, lq, lk, heads, self_attention, dtype)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_attention_saved_arrays_released(self, monkeypatch):
+        # the probabilities are the buffer the forward exponentiates in place
+        probs = []
+        exp = np.exp
+
+        def spy(x, *args, **kw):
+            if kw.get("out") is not None:
+                probs.append(weakref.ref(kw["out"]))
+            return exp(x, *args, **kw)
+
+        monkeypatch.setattr(ad.np, "exp", spy)
+        rng = np.random.default_rng(75)
+        x = ad.parameter(rng.normal(size=(2, 3, 4)))
+        weights = [ad.parameter(rng.normal(size=(4, 4) if i % 2 == 0 else 4)) for i in range(8)]
+        out = ad.attention(x, x, *weights, heads=2)
+        assert len(probs) == 1 and probs[0]() is not None
+        ad.backward(ad.sum_all(out))
+        assert probs[0]() is None
+        with ad.no_grad():
+            kept = ad.attention(x, x, *weights, heads=2)
+        assert len(probs) == 2 and probs[1]() is None and not kept._vjps
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin, cout", CONV_BRANCHES)
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+    def test_conv2d_vjps_equal_unshared(self, cin, cout, lead, dtype):
+        rng = np.random.default_rng(76 + cin + 10 * cout)
+        x = rng.normal(size=lead + (cin, 7, 6)).astype(dtype)
+        w = rng.normal(size=(cout, cin, 3, 3)).astype(dtype)
+        b = rng.normal(size=cout).astype(dtype)
+        g = _order_sensitive(rng, lead + (cout, 7, 6)).astype(dtype)
+        _, gx, gw, _ = _conv_forward_and_vjps(x, w, b, g)
+        want_x, want_w = _unshared_conv_vjps(x, w, g)
+        assert np.array_equal(gx, want_x) and np.array_equal(gw, want_w)
+        # only the weight vjp runs when x is a constant
+        wl = ad.parameter(w, dtype=dtype)
+        ad.backward(ad.sum_all(ad.mul(ad.conv2d(ad.constant(x, dtype=dtype), wl), ad.constant(g, dtype=dtype))))
+        assert np.array_equal(wl.grad, want_w)
+
+    def test_conv2d_windows_follow_the_incoming_gradient(self):
+        # vjps called directly with different g: no stale windows
+        rng = np.random.default_rng(77)
+        x = rng.normal(size=(2, 4, 5, 5)).astype(np.float32)
+        w = rng.normal(size=(2, 4, 3, 3)).astype(np.float32)
+        out = ad.conv2d(ad.parameter(x), ad.parameter(w))
+        vjp_x, vjp_w = out._vjps
+        g1, g2 = (rng.normal(size=(2, 2, 5, 5)).astype(np.float32) for _ in range(2))
+        assert np.array_equal(vjp_x(g1), _unshared_conv_vjps(x, w, g1)[0])
+        assert np.array_equal(vjp_w(g2), _unshared_conv_vjps(x, w, g2)[1])
+        assert np.array_equal(vjp_x(g2), _unshared_conv_vjps(x, w, g2)[0])

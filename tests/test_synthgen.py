@@ -161,6 +161,37 @@ class TestDownsample:
         with pytest.raises(ValueError, match="divisible"):
             synthgen.downsample(np.zeros((9, 9)), 2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_bits_equal_numpy_mean_on_c_order(self, factor, dtype):
+        rng = np.random.default_rng(40 + factor)
+        for h, w in ((6, 5), (3, 7), (16, 16)):
+            img = (rng.normal(size=(h * factor, w * factor)) * 1e3).astype(dtype)
+            img[rng.random(img.shape) < 0.2] = -0.0
+            want = img.reshape(h, factor, w, factor).mean(axis=(1, 3)).astype(dtype)
+            got = synthgen.downsample(img, factor)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+            # the bits do not follow the memory layout
+            assert synthgen.downsample(np.asfortranarray(img), factor).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_batch_equals_each_image(self, factor):
+        rng = np.random.default_rng(45)
+        stack = rng.random((2, 3, 6 * factor, 4 * factor)).astype(np.float32)
+        got = synthgen.downsample(stack, factor)
+        assert got.shape == (2, 3, 6, 4)
+        for i, j in np.ndindex(2, 3):
+            assert got[i, j].tobytes() == synthgen.downsample(stack[i, j].copy(), factor).tobytes()
+
+    def test_generated_and_reloaded_pool_alike(self, tmp_path):
+        samples = synthgen.gen_dataset(small_spec(p_positive=0.5, seed=3), 32)
+        synthgen.save_dataset(samples, tmp_path)
+        for s, r in zip(samples, synthgen.load_dataset(tmp_path)):
+            assert s.image.flags.c_contiguous and s.lesion_mask.flags.c_contiguous
+            assert synthgen.downsample(s.image).tobytes() == synthgen.downsample(r.image).tobytes()
+            # reductions whose order follows the memory layout agree as well
+            assert s.image.mean(axis=0).tobytes() == r.image.mean(axis=0).tobytes()
+
 
 class TestRoundTripIO:
     def test_save_load_bitwise(self, tmp_path):

@@ -25,7 +25,16 @@ from pairmask.corpus import (
 )
 from pairmask.masking import apply_text_mask, patchify, plan_text_mask
 from pairmask.model import Model, ModelConfig
-from pairmask.synthgen import LABEL_ABSENT, LABEL_PRESENT, SynthSample, SynthSpec, downsample, gen_dataset
+from pairmask.synthgen import (
+    LABEL_ABSENT,
+    LABEL_PRESENT,
+    SynthSample,
+    SynthSpec,
+    downsample,
+    gen_dataset,
+    load_dataset,
+    save_dataset,
+)
 from pairmask.trainer import (
     EVAL_CHUNK,
     STREAM_EVAL,
@@ -446,6 +455,22 @@ def test_pretrain_runs_are_bit_identical():
         assert np.array_equal(model_a.params[name].data, model_b.params[name].data)
 
 
+def test_generated_and_reloaded_corpus_train_alike(tmp_path):
+    # in-memory samples and the same samples read back from disk give the
+    # same low-res inputs and the same parameters after a few steps
+    samples, data, model_a = small_world(n=16, seed=3)
+    save_dataset(samples, tmp_path)
+    reloaded = load_dataset(tmp_path)
+    for s, r in zip(samples, reloaded):
+        assert downsample(s.image).tobytes() == downsample(r.image).tobytes()
+    model_b = Model(model_a.cfg, seed=3)
+    cfg = TrainConfig(steps=4, batch_size=4, seed=3, log_every=0)
+    pretrain(model_a, samples, data, cfg)
+    pretrain(model_b, reloaded, data, cfg)
+    for name in model_a.params:
+        assert np.array_equal(model_a.params[name].data, model_b.params[name].data), name
+
+
 def test_pretrain_loss_goes_down():
     samples, data, model = small_world(n=16)
     cfg = TrainConfig(steps=60, batch_size=4, seed=0, log_every=0)
@@ -720,18 +745,23 @@ print(sorted(r.per_entity.items()), r.macro_accuracy)
 """
 
 
-def test_linear_probe_shuffle_is_the_same_in_every_process():
+def _run_python(code: str, **env) -> str:
+    """Standard output of ``code`` run by a fresh interpreter on this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, **env, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
-    def run(hash_seed: str) -> str:
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
-        proc = subprocess.run([sys.executable, "-c", _SHUFFLED_PROBE], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
 
-    assert run("1") == run("2")
+def test_linear_probe_shuffle_is_the_same_in_every_process():
+    assert _run_python(_SHUFFLED_PROBE, PYTHONHASHSEED="1") == _run_python(_SHUFFLED_PROBE, PYTHONHASHSEED="2")
+
+
+def test_scipy_optimize_loads_only_for_the_probe():
+    code = "import sys, pairmask.cli, pairmask.trainer; print('scipy.optimize' in sys.modules)"
+    assert _run_python(code).strip() == "False"
 
 
 def test_linear_probe_skips_single_class_entities():
