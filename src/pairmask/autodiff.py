@@ -97,8 +97,9 @@ class Tensor:
             arr = arr.astype(dtype, copy=False)
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
-        # grad_check perturbs through flat views; keep leaves contiguous
-        self.data: np.ndarray = np.ascontiguousarray(arr)
+        # grad_check perturbs through flat views; keep leaves contiguous, and
+        # 0-d arrays 0-d (np.ascontiguousarray returns at least 1-d)
+        self.data: np.ndarray = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()

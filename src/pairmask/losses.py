@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .masking import PatchMaskPlan, TextMaskPlan, patchify, patchify_t
+from .masking import patchify, patchify_t
 
 DEFAULT_LAMBDA_NEG = 0.05
 
@@ -81,42 +81,38 @@ def unit_factors(n_neg: int, n_oth: int) -> RebalanceFactors:
     return RebalanceFactors(1.0, 1.0, n_neg, n_oth, one, one)
 
 
-def loss_mim(recon: Tensor, target: np.ndarray, plan, patch: int) -> Tensor:
-    """Mean squared error over masked patches only.
+def loss_mim(recon: Tensor, target: np.ndarray, plans, patch: int) -> Tensor:
+    """Mean squared error over masked patches only: (B,) per-sample losses.
 
-    Both images are cut into the same row-major patch grid and only the
-    rows in ``plan.masked`` enter the average, so visible-patch pixels
-    cannot influence the value or the gradient. One plan and (H, W)
-    images give a scalar; a sequence of plans and (B, H, W) images give
-    the (B,) per-sample losses.
+    ``recon`` and ``target`` are (B, H, W) images and ``plans`` holds one
+    ``PatchMaskPlan`` per sample. Both images are cut into the same
+    row-major patch grid and only the rows in each ``plan.masked`` enter
+    that sample's average, so visible-patch pixels cannot influence the
+    value or the gradient.
     """
-    single = isinstance(plan, PatchMaskPlan)
-    plans = [plan] if single else list(plan)
+    plans = list(plans)
     if any(not p.masked for p in plans):
         raise ValueError("loss_mim: plan masks no patches")
     if len({len(p.masked) for p in plans}) > 1:
         raise ValueError("loss_mim: plans mask different numbers of patches")
     idx = np.array([p.masked for p in plans], dtype=np.int64)
-    if single:
-        idx = idx[0]
     pred_rows = ad.take_rows(patchify_t(recon, patch), idx)
     target_rows = np.take_along_axis(patchify(target, patch), idx[..., None], axis=-2)
     return ad.mse(pred_rows, ad.constant(target_rows, dtype=recon.data.dtype))
 
 
-def loss_mlm(logits: Tensor, target_ids: np.ndarray, plan, factors: RebalanceFactors) -> Tensor:
-    """Weighted cross-entropy over masked token positions.
+def loss_mlm(logits: Tensor, target_ids: np.ndarray, plans, factors: RebalanceFactors) -> Tensor:
+    """Weighted cross-entropy over masked token positions: (B,) per-sample losses.
 
-    Random positions weigh 1, negation descriptors ``lambda_neg``, other
-    descriptors ``lambda_oth``; the sum is normalized by the total
-    weight so the scale is comparable across sequences. One plan and
-    (L, V) logits give a scalar; a sequence of plans and (B, L, V)
-    logits give the (B,) per-sample losses.
+    ``logits`` is (B, L, V), ``target_ids`` (B, L), and ``plans`` holds
+    one ``TextMaskPlan`` per sample. Random positions weigh 1, negation
+    descriptors ``lambda_neg``, other descriptors ``lambda_oth``; each
+    sample's sum is normalized by its total weight so the scale is
+    comparable across sequences.
     """
-    single = isinstance(plan, TextMaskPlan)
-    plans = [plan] if single else list(plan)
-    if logits.ndim != (2 if single else 3) or logits.shape[:-2] != (() if single else (len(plans),)):
-        raise ValueError(f"loss_mlm: logits {logits.shape} for {len(plans)} plan(s)")
+    plans = list(plans)
+    if logits.ndim != 3 or logits.shape[0] != len(plans):
+        raise ValueError(f"loss_mlm: logits {logits.shape} must be (B, L, V) for {len(plans)} plans")
     for p in plans:
         if logits.shape[-2] != p.seq_len:
             raise ValueError(f"loss_mlm: {logits.shape[-2]} logit rows vs plan length {p.seq_len}")
@@ -138,8 +134,7 @@ def loss_mlm(logits: Tensor, target_ids: np.ndarray, plan, factors: RebalanceFac
         part = ad.scale(ad.gather_sum(nll, positions), lam)
         total = part if total is None else ad.add(total, part)
         weight_sum += [lam * len(pos) for pos in positions]
-    inverse = (1.0 / weight_sum).reshape(total.shape)
-    return ad.mul(total, ad.constant(inverse, dtype=logits.data.dtype))
+    return ad.mul(total, ad.constant(1.0 / weight_sum, dtype=logits.data.dtype))
 
 
 def loss_sr(sr_output: Tensor, target: np.ndarray, attention: np.ndarray) -> Tensor:
@@ -177,11 +172,9 @@ class LossBundle:
 
 
 def loss_total(mim: Tensor, mlm: Tensor, sr: Tensor) -> LossBundle:
-    """Sum the three objectives, per sample for batched terms, refusing
-    silently broken terms."""
+    """Sum the three objectives per sample, refusing silently broken terms."""
     for name, term in (("mim", mim), ("mlm", mlm), ("sr", sr)):
         bad = np.flatnonzero(~np.isfinite(term.data))
         if bad.size:
-            where = f" in batch slot {bad[0]}" if term.ndim else ""
-            raise FloatingPointError(f"loss_total: {name} term is {term.data.flat[bad[0]]}{where}")
+            raise FloatingPointError(f"loss_total: {name} term is {term.data.flat[bad[0]]} in batch slot {bad[0]}")
     return LossBundle(mim=mim, mlm=mlm, sr=sr, total=ad.add(ad.add(mim, mlm), sr))

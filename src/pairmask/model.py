@@ -15,9 +15,9 @@ Every method takes a leading batch axis: ``(B, N, D)`` patch features,
 ``(B, L)`` token ids, ``(B, H, W)`` images. Visible patches can sit at
 different positions in each sample (MAE's gather, arXiv 2111.06377):
 ``encode_image`` takes per-sample positions, and the image decoder takes
-one ``PatchMaskPlan`` per sample. A single plan describes a single
-sample. Because the autodiff operators keep each sample's arithmetic as
-it is on its own, a batch gives the same bits as its samples one by one.
+one ``PatchMaskPlan`` per sample, so one sample is a batch of one.
+Because the autodiff operators keep each sample's arithmetic as it is on
+its own, a batch gives the same bits as its samples one by one.
 
 Fusion wiring: token features attend over local patch features
 (cross-attention, no residual) while a linear projection of the
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .masking import PatchMaskPlan, patchify, patchify_t, unpatchify_t
+from .masking import patchify, unpatchify_t
 
 MODE_GLOBAL = "global"
 MODE_LOCAL = "local"
@@ -238,20 +238,16 @@ class Model:
             x = self._block(f"enc.{i}", x)
         return self._ln("enc.norm", x)
 
-    def decoder_sequence(self, f_v: Tensor, plan) -> Tensor:
+    def decoder_sequence(self, f_v: Tensor, plans) -> Tensor:
         """Pre-decoder rows: encoded patches scattered to their positions,
         mask token + position encoding everywhere else.
 
-        ``plan`` is one sample's ``PatchMaskPlan`` with ``f_v``
-        (N_vis, D), or a sequence of plans, one per sample, with ``f_v``
-        (B, N_vis, D); every plan shows the same number of patches.
+        ``f_v`` is (B, N_vis, D) and ``plans`` holds one ``PatchMaskPlan``
+        per sample; every plan shows the same number of patches.
         """
-        single = isinstance(plan, PatchMaskPlan)
-        plans = [plan] if single else list(plan)
+        plans = list(plans)
         n = self.cfg.n_patches
-        if single and f_v.ndim != 2:
-            raise ValueError(f"decoder_sequence: f_v {f_v.shape} must be one sample's (N_vis, D)")
-        if not single and (f_v.ndim != 3 or f_v.shape[0] != len(plans)):
+        if f_v.ndim != 3 or f_v.shape[0] != len(plans):
             raise ValueError(f"decoder_sequence: f_v {f_v.shape} must be (B, N_vis, D) for {len(plans)} plans")
         n_vis = f_v.shape[-2]
         for p in plans:
@@ -264,35 +260,23 @@ class Model:
         for row, p in zip(perm, plans):
             row[list(p.visible)] = np.arange(n_vis)
             row[list(p.masked)] = n_vis + np.arange(n - n_vis)
-        token = self.params["mask_token"]
-        if single:
-            perm = perm[0]
-        else:
-            # one copy of the token per sample, so its gradient is summed
-            # within each sample first, then over samples in slot order
-            token = ad.take_rows(token, np.zeros(len(plans), dtype=np.int64))
-            token = ad.reshape(token, (len(plans), 1, self.cfg.dim))
-        mask_rows = ad.take_rows(token, np.zeros(perm.shape[:-1] + (n - n_vis,), dtype=np.int64))
+        # one copy of the token per sample, so its gradient is summed
+        # within each sample first, then over samples in slot order
+        token = ad.take_rows(self.params["mask_token"], np.zeros(len(plans), dtype=np.int64))
+        token = ad.reshape(token, (len(plans), 1, self.cfg.dim))
+        mask_rows = ad.take_rows(token, np.zeros((len(plans), n - n_vis), dtype=np.int64))
         ordered = ad.take_rows(ad.concat([f_v, mask_rows], axis=-2), perm)
         return ad.add(ordered, self._positions(range(n)))
 
-    def decode_image(self, f_v: Tensor, plan) -> Tensor:
-        """Reconstruct full low-res images: (H, W) for one plan, (B, H, W) for a sequence of plans."""
-        x = self.decoder_sequence(f_v, plan)
+    def decode_image(self, f_v: Tensor, plans) -> Tensor:
+        """Reconstruct full low-res images (B, H, W) from f_v (B, N_vis, D), one plan per sample."""
+        x = self.decoder_sequence(f_v, plans)
         for i in range(self.cfg.decoder_depth):
             x = self._block(f"dec.{i}", x)
         x = self._ln("dec.norm", x)
         pred = ad.linear(x, self.params["dec.head.w"], self.params["dec.head.b"])
-        return self.unpatchify_t(pred)
-
-    def unpatchify_t(self, patches: Tensor) -> Tensor:
-        """Differentiable inverse of row-major patchify: (..., N, patch^2) -> (..., H, W)."""
         size = self.cfg.image_size
-        return unpatchify_t(patches, size, size, self.cfg.patch)
-
-    def patchify_t(self, image: Tensor) -> Tensor:
-        """Differentiable row-major patchify: (..., H, W) -> (..., N, patch^2)."""
-        return patchify_t(image, self.cfg.patch)
+        return unpatchify_t(pred, size, size, self.cfg.patch)
 
     def sr_head(self, low: Tensor) -> Tensor:
         """Residual super-resolution: bilinear 2x plus a learned correction, (..., H, W) -> (..., 2H, 2W)."""

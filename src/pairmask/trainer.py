@@ -314,25 +314,15 @@ def _losses(
     use_sr: bool,
     use_descriptor_mask: bool,
     attention: Optional[Callable[[SynthSample], np.ndarray]],
-    batched: bool,
 ) -> LossBundle:
     """All three objectives for (sample, doc) pairs, as one graph.
 
     Slot ``b`` draws its patch mask from ``rngs_image[b]`` and its text
-    mask from ``rngs_text[b]``. Batched, every tensor has a leading slot
-    axis and the terms are (B,); every sample shows the same number of
-    patches, so the image path is one rectangular batch (MAE's gather),
-    and the text path runs once per report length. Unbatched, ``pairs``
-    holds one pair, no tensor has a slot axis and the terms are scalars.
+    mask from ``rngs_text[b]``. Every tensor has a leading slot axis and
+    the terms are (B,); every sample shows the same number of patches,
+    so the image path is one rectangular batch (MAE's gather), and the
+    text path runs once per report length.
     """
-
-    def per_slot(items: list):
-        """The model's argument for one item per slot: all of them, or the only one."""
-        return items if batched else items[0]
-
-    def stacked(arrays: list) -> np.ndarray:
-        return np.stack(arrays) if batched else arrays[0]
-
     cfg = model.cfg
     dtype = np.float64 if model.dtype == np.float64 else np.float32
     samples = [sample for sample, _ in pairs]
@@ -342,18 +332,18 @@ def _losses(
             raise ValueError(
                 f"sample {sample.id}: side {side} vs model target {cfg.image_size * cfg.sr_factor}"
             )
-    images = stacked([s.image for s in samples])
+    images = np.stack([s.image for s in samples])
     low = downsample(images, cfg.sr_factor).astype(dtype)
 
     plans = [plan_patch_mask(cfg.n_patches, rng, ratio=cfg.patch_mask_ratio) for rng in rngs_image]
-    visible = stacked([np.array(plan.visible, dtype=np.int64) for plan in plans])
+    visible = np.array([plan.visible for plan in plans], dtype=np.int64)
     patches = np.take_along_axis(patchify(low, cfg.patch), visible[..., None], axis=-2)
     f_v = model.encode_image(patches, visible)
-    recon = model.decode_image(f_v, per_slot(plans))
-    mim = loss_mim(recon, low, per_slot(plans), cfg.patch)
+    recon = model.decode_image(f_v, plans)
+    mim = loss_mim(recon, low, plans, cfg.patch)
 
     if use_sr:
-        weights = stacked([s.attention if attention is None else attention(s) for s in samples])
+        weights = np.stack([s.attention if attention is None else attention(s) for s in samples])
         hi = images.astype(dtype)
         sr = loss_sr(model.sr_head(recon), hi, weights)
     else:
@@ -370,10 +360,10 @@ def _losses(
     parts = []
     for slots in groups.values():
         f_g = f_v if len(groups) == 1 else ad.take_rows(f_v, slots)
-        bundle = model.mscf_fuse(f_g, model.embed_text(stacked([masked_ids[i] for i in slots])))
+        bundle = model.mscf_fuse(f_g, model.embed_text(np.stack([masked_ids[i] for i in slots])))
         logits = model.decode_text(bundle.f_f)
-        targets = stacked([pairs[i][1].seq.ids for i in slots])
-        parts.append(loss_mlm(logits, targets, per_slot([tplans[i] for i in slots]), factors))
+        targets = np.stack([pairs[i][1].seq.ids for i in slots])
+        parts.append(loss_mlm(logits, targets, [tplans[i] for i in slots], factors))
     if len(parts) == 1:
         mlm = parts[0]
     else:
@@ -395,11 +385,12 @@ def sample_losses(
     attention: Optional[Callable[[SynthSample], np.ndarray]] = None,
 ) -> LossBundle:
     """All three objectives for one image/report pair, as scalars: the
-    batch-of-one case of the training step's graph, without a slot axis."""
-    return _losses(
+    training step's graph for a batch of one, with the slot axis dropped."""
+    bundle = _losses(
         model, [(sample, doc)], factors, [rng_image], [rng_text],
-        use_sr, use_descriptor_mask, attention, batched=False,
+        use_sr, use_descriptor_mask, attention,
     )
+    return LossBundle(**{name: ad.reshape(term, ()) for name, term in vars(bundle).items()})
 
 
 def train_step(
@@ -429,7 +420,7 @@ def train_step(
     try:
         bundle = _losses(
             model, pairs, factors, rngs_image, rngs_text,
-            use_sr, use_descriptor_mask, attention, batched=True,
+            use_sr, use_descriptor_mask, attention,
         )
     except FloatingPointError as exc:
         raise TrainingError(f"step {step}: {exc}") from exc

@@ -398,23 +398,23 @@ def test_c05_loss_support(capsys):
     )
     model = Model(cfg, seed=1)
     rng = np.random.default_rng(5)
-    low = rng.uniform(0.0, 1.0, size=(8, 8)).astype(np.float32)
+    low = rng.uniform(0.0, 1.0, size=(1, 8, 8)).astype(np.float32)
     plan = plan_patch_mask(cfg.n_patches, np.random.default_rng(6))
     patches = patchify(low, cfg.patch)
-    f_v = model.encode_image(patches[list(plan.visible)], plan.visible)
-    recon = model.decode_image(f_v, plan)
+    f_v = model.encode_image(patches[:, list(plan.visible)], plan.visible)
+    recon = model.decode_image(f_v, [plan])
 
-    base = loss_mim(recon, low, plan, cfg.patch).item()
+    base = loss_mim(recon, low, [plan], cfg.patch).item()
     rows = patches.copy()
-    rows[list(plan.visible)] += 3.0
+    rows[:, list(plan.visible)] += 3.0
     perturbed = unpatchify(rows, 8, 8, cfg.patch)
-    moved = loss_mim(recon, perturbed, plan, cfg.patch).item()
+    moved = loss_mim(recon, perturbed, [plan], cfg.patch).item()
     mim_invariant = moved == base
 
-    hi = rng.uniform(0.0, 1.0, size=(16, 16)).astype(np.float32)
+    hi = rng.uniform(0.0, 1.0, size=(1, 16, 16)).astype(np.float32)
     sr_out = model.sr_head(recon)
-    sr_zero = loss_sr(sr_out, hi, np.zeros((16, 16), dtype=np.float32)).item()
-    sr_ones = loss_sr(sr_out, hi, np.ones((16, 16), dtype=np.float32)).item()
+    sr_zero = loss_sr(sr_out, hi, np.zeros((1, 16, 16), dtype=np.float32)).item()
+    sr_ones = loss_sr(sr_out, hi, np.ones((1, 16, 16), dtype=np.float32)).item()
     plain = ad.mse(model.sr_head(recon), ad.constant(hi)).item()
     sr_gap = abs(sr_ones - plain)
 

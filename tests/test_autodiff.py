@@ -105,6 +105,16 @@ class TestForwardBasics:
         two = ad.softmax(ad.matmul(ad.constant(x), ad.constant(x)), axis=-1).data
         assert np.array_equal(one, two)
 
+    def test_zero_d_constant_stays_zero_d(self):
+        assert ad.constant(np.float64(2.0)).shape == ()
+        assert ad.parameter(np.array(2.0), dtype=np.float64).shape == ()
+
+    def test_contiguous_input_is_not_copied(self):
+        x = np.arange(6.0).reshape(2, 3)
+        assert ad.Tensor(x, dtype=np.float64).data is x
+        strided = ad.Tensor(x.T, dtype=np.float64).data
+        assert strided.flags.c_contiguous and np.array_equal(strided, x.T)
+
 
 class TestGradients:
     """Each operator against the finite-difference oracle."""

@@ -87,7 +87,7 @@ def test_mim_matches_numpy_oracle():
     recon_np = rng.normal(size=(8, 8))
     target = rng.normal(size=(8, 8))
     plan = PatchMaskPlan(masked=(0, 3), visible=(1, 2), n_patches=4)
-    loss = loss_mim(ad.constant(recon_np, dtype=np.float64), target, plan, patch=4)
+    loss = loss_mim(ad.constant(recon_np[None], dtype=np.float64), target[None], [plan], patch=4)
     pr = patchify(recon_np, 4)[[0, 3]]
     tr = patchify(target, 4)[[0, 3]]
     expected = ((pr - tr) ** 2).mean()
@@ -99,21 +99,21 @@ def test_mim_ignores_visible_pixels():
     recon_np = rng.normal(size=(8, 8))
     target = rng.normal(size=(8, 8))
     plan = PatchMaskPlan(masked=(0, 3), visible=(1, 2), n_patches=4)
-    base = loss_mim(ad.constant(recon_np, dtype=np.float64), target, plan, patch=4).item()
+    base = loss_mim(ad.constant(recon_np[None], dtype=np.float64), target[None], [plan], patch=4).item()
     bumped = recon_np.copy()
     bumped[0:4, 4:8] += 100.0  # patch 1, visible
     bumped[4:8, 0:4] -= 50.0   # patch 2, visible
-    after = loss_mim(ad.constant(bumped, dtype=np.float64), target, plan, patch=4).item()
+    after = loss_mim(ad.constant(bumped[None], dtype=np.float64), target[None], [plan], patch=4).item()
     assert after == base
 
 
 def test_mim_gradient_zero_on_visible():
     rng = np.random.default_rng(2)
-    recon = ad.parameter(rng.normal(size=(8, 8)))
-    target = rng.normal(size=(8, 8))
+    recon = ad.parameter(rng.normal(size=(1, 8, 8)))
+    target = rng.normal(size=(1, 8, 8))
     plan = PatchMaskPlan(masked=(0, 3), visible=(1, 2), n_patches=4)
-    ad.backward(loss_mim(recon, target, plan, patch=4))
-    g = recon.grad
+    ad.backward(loss_mim(recon, target, [plan], patch=4))
+    g = recon.grad[0]
     assert np.all(g[0:4, 4:8] == 0.0)
     assert np.all(g[4:8, 0:4] == 0.0)
     assert np.abs(g[0:4, 0:4]).max() > 0
@@ -122,17 +122,17 @@ def test_mim_gradient_zero_on_visible():
 
 def test_mim_gradient_check():
     rng = np.random.default_rng(3)
-    recon = ad.parameter(rng.normal(size=(8, 8)), dtype=np.float64)
-    target = rng.normal(size=(8, 8))
+    recon = ad.parameter(rng.normal(size=(1, 8, 8)), dtype=np.float64)
+    target = rng.normal(size=(1, 8, 8))
     plan = PatchMaskPlan(masked=(1, 2, 3), visible=(0,), n_patches=4)
-    err = ad.grad_check(lambda _: loss_mim(recon, target, plan, patch=4), [recon])
+    err = ad.grad_check(lambda _: loss_mim(recon, target, [plan], patch=4), [recon])
     assert err < 1e-6
 
 
 def test_mim_empty_plan_rejected():
     plan = PatchMaskPlan(masked=(), visible=(0, 1, 2, 3), n_patches=4)
     with pytest.raises(ValueError):
-        loss_mim(ad.constant(np.zeros((8, 8))), np.zeros((8, 8)), plan, patch=4)
+        loss_mim(ad.constant(np.zeros((1, 8, 8))), np.zeros((1, 8, 8)), [plan], patch=4)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_mlm_matches_numpy_oracle():
     logits_np = rng.normal(size=(6, 8))
     targets = rng.integers(0, 8, size=6)
     factors = compute_rebalance(n_neg=2000, n_oth=100, lambda_neg=0.05)
-    loss = loss_mlm(ad.constant(logits_np, dtype=np.float64), targets, make_plan(), factors)
+    loss = loss_mlm(ad.constant(logits_np[None], dtype=np.float64), targets[None], [make_plan()], factors)
     nll = nll_rows(logits_np, targets)
     expected = (nll[0] + nll[1] + 0.05 * nll[2] + 20.0 * nll[3]) / (2 + 0.05 + 20.0)
     assert abs(loss.item() - expected) < 1e-10
@@ -161,7 +161,7 @@ def test_mlm_unit_factors_is_plain_mean():
     rng = np.random.default_rng(5)
     logits_np = rng.normal(size=(6, 8))
     targets = rng.integers(0, 8, size=6)
-    loss = loss_mlm(ad.constant(logits_np, dtype=np.float64), targets, make_plan(), unit_factors(1, 1))
+    loss = loss_mlm(ad.constant(logits_np[None], dtype=np.float64), targets[None], [make_plan()], unit_factors(1, 1))
     nll = nll_rows(logits_np, targets)
     assert abs(loss.item() - nll[[0, 1, 2, 3]].mean()) < 1e-10
 
@@ -171,11 +171,11 @@ def test_mlm_visible_rows_inert():
     logits_np = rng.normal(size=(6, 8))
     targets = rng.integers(0, 8, size=6)
     factors = compute_rebalance(n_neg=20, n_oth=1)
-    base = loss_mlm(ad.constant(logits_np, dtype=np.float64), targets, make_plan(), factors).item()
+    base = loss_mlm(ad.constant(logits_np[None], dtype=np.float64), targets[None], [make_plan()], factors).item()
     bumped = logits_np.copy()
     bumped[4] += 9.0
     bumped[5] -= 9.0
-    after = loss_mlm(ad.constant(bumped, dtype=np.float64), targets, make_plan(), factors).item()
+    after = loss_mlm(ad.constant(bumped[None], dtype=np.float64), targets[None], [make_plan()], factors).item()
     assert after == base
 
 
@@ -184,7 +184,7 @@ def test_mlm_role_subsets_may_be_empty():
     rng = np.random.default_rng(7)
     logits_np = rng.normal(size=(3, 5))
     targets = np.array([1, 2, 3])
-    loss = loss_mlm(ad.constant(logits_np, dtype=np.float64), targets, plan, unit_factors(1, 1))
+    loss = loss_mlm(ad.constant(logits_np[None], dtype=np.float64), targets[None], [plan], unit_factors(1, 1))
     nll = nll_rows(logits_np, targets)
     assert abs(loss.item() - nll[[0, 1]].mean()) < 1e-10
 
@@ -192,20 +192,20 @@ def test_mlm_role_subsets_may_be_empty():
 def test_mlm_nothing_masked_rejected():
     plan = TextMaskPlan(descriptor_neg=(), descriptor_oth=(), random=(), visible=(0, 1), seq_len=2)
     with pytest.raises(ValueError):
-        loss_mlm(ad.constant(np.zeros((2, 4))), np.zeros(2, dtype=np.int64), plan, unit_factors(1, 1))
+        loss_mlm(ad.constant(np.zeros((1, 2, 4))), np.zeros((1, 2), dtype=np.int64), [plan], unit_factors(1, 1))
 
 
 def test_mlm_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        loss_mlm(ad.constant(np.zeros((4, 8))), np.zeros(4, dtype=np.int64), make_plan(), unit_factors(1, 1))
+        loss_mlm(ad.constant(np.zeros((1, 4, 8))), np.zeros((1, 4), dtype=np.int64), [make_plan()], unit_factors(1, 1))
 
 
 def test_mlm_gradient_check():
     rng = np.random.default_rng(8)
-    logits = ad.parameter(rng.normal(size=(6, 8)), dtype=np.float64)
-    targets = rng.integers(0, 8, size=6)
+    logits = ad.parameter(rng.normal(size=(1, 6, 8)), dtype=np.float64)
+    targets = rng.integers(0, 8, size=(1, 6))
     factors = compute_rebalance(n_neg=40, n_oth=2)
-    err = ad.grad_check(lambda _: loss_mlm(logits, targets, make_plan(), factors), [logits])
+    err = ad.grad_check(lambda _: loss_mlm(logits, targets, [make_plan()], factors), [logits])
     assert err < 1e-6
 
 

@@ -8,7 +8,8 @@ import pytest
 
 import pairmask.autodiff as ad
 from pairmask.corpus import MASK_ID
-from pairmask.masking import PatchMaskPlan, patchify, plan_patch_mask
+from pairmask.losses import loss_mlm, unit_factors
+from pairmask.masking import PatchMaskPlan, TextMaskPlan, patchify, plan_patch_mask
 from pairmask.model import Model, ModelConfig, sinusoid_table
 from pairmask.synthgen import SynthSpec, gen_dataset
 from pairmask.trainer import prepare_training_data, sample_losses
@@ -126,13 +127,13 @@ def test_encode_length_mismatch():
 def test_decoder_sequence_scatter():
     m = tiny_model()
     plan = PatchMaskPlan(masked=(1, 3), visible=(0, 2), n_patches=4)
-    f_v = ad.constant(np.arange(16, dtype=np.float32).reshape(2, 8) / 10.0)
-    rows = m.decoder_sequence(f_v, plan).data
+    f_v = ad.constant(np.arange(16, dtype=np.float32).reshape(1, 2, 8) / 10.0)
+    rows = m.decoder_sequence(f_v, [plan]).data[0]
     pos = m.pos_table
     tok = m.params["mask_token"].data[0]
-    assert np.array_equal(rows[0], f_v.data[0] + pos[0])
+    assert np.array_equal(rows[0], f_v.data[0, 0] + pos[0])
     assert np.array_equal(rows[1], tok + pos[1])
-    assert np.array_equal(rows[2], f_v.data[1] + pos[2])
+    assert np.array_equal(rows[2], f_v.data[0, 1] + pos[2])
     assert np.array_equal(rows[3], tok + pos[3])
 
 
@@ -140,32 +141,22 @@ def test_decoder_sequence_row_count_mismatch():
     m = tiny_model()
     plan = PatchMaskPlan(masked=(1, 3), visible=(0, 2), n_patches=4)
     with pytest.raises(ValueError):
-        m.decoder_sequence(ad.constant(np.zeros((3, 8), dtype=np.float32)), plan)
+        m.decoder_sequence(ad.constant(np.zeros((1, 3, 8), dtype=np.float32)), [plan])
 
 
 def test_decode_image_shape_and_mask_token_grad():
     m = tiny_model()
     rng = np.random.default_rng(2)
-    image = rng.random((8, 8)).astype(np.float32)
+    image = rng.random((1, 8, 8)).astype(np.float32)
     plan = plan_patch_mask(4, np.random.default_rng(0), ratio=0.5)
     patches = patchify(image, 4)
-    f_v = m.encode_image(patches[list(plan.visible)], plan.visible)
-    recon = m.decode_image(f_v, plan)
-    assert recon.shape == (8, 8)
+    f_v = m.encode_image(patches[:, list(plan.visible)], plan.visible)
+    recon = m.decode_image(f_v, [plan])
+    assert recon.shape == (1, 8, 8)
     loss = ad.mse(recon, ad.constant(image))
     ad.backward(loss)
     g = m.params["mask_token"].grad
     assert g is not None and np.abs(g).max() > 0
-
-
-def test_patchify_roundtrip_matches_numpy():
-    m = tiny_model()
-    rng = np.random.default_rng(3)
-    image = rng.random((8, 8)).astype(np.float32)
-    t = m.patchify_t(ad.constant(image))
-    assert np.array_equal(t.data, patchify(image, 4))
-    back = m.unpatchify_t(t)
-    assert np.array_equal(back.data, image)
 
 
 def test_sr_head_is_bilinear_at_init():
@@ -308,11 +299,14 @@ def test_batched_forward_finetune_matches_per_sample():
         np.testing.assert_allclose(global_[i], m.forward_finetune(images[i]).data, rtol=0, atol=BATCH_ATOL)
 
 
-def test_decoder_takes_one_sample():
+def test_decoder_and_token_loss_refuse_input_without_a_slot_axis():
     m = tiny_model()
     plan = plan_patch_mask(4, np.random.default_rng(0), ratio=0.5)
-    with pytest.raises(ValueError, match="one sample"):
-        m.decode_image(ad.constant(np.zeros((2, 2, 8), dtype=np.float32)), plan)
+    with pytest.raises(ValueError, match="f_v"):
+        m.decode_image(ad.constant(np.zeros((2, 8), dtype=np.float32)), [plan])
+    tplan = TextMaskPlan(descriptor_neg=(), descriptor_oth=(), random=(0,), visible=(1,), seq_len=2)
+    with pytest.raises(ValueError, match="logits"):
+        loss_mlm(ad.constant(np.zeros((2, 12))), np.zeros(2, dtype=np.int64), [tplan], unit_factors(1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +327,11 @@ def reference_attention(model, prefix, query, kv):
     """Multi-head attention from primitive ops, as the model built it before fusion."""
     p, h = model.params, model.cfg.heads
 
+    # a leading slot axis of one is dropped here and restored at the end
+    lead, self_attention = query.shape[:-2], kv is query
+    query = ad.reshape(query, query.shape[-2:])
+    kv = query if self_attention else ad.reshape(kv, kv.shape[-2:])
+
     def split(x):
         L, d = x.shape
         return ad.transpose(ad.reshape(x, (L, h, d // h)), (1, 0, 2))
@@ -345,7 +344,8 @@ def reference_attention(model, prefix, query, kv):
     ctx = ad.matmul(ad.softmax(scores, axis=-1), split(v))
     hh, L, hd = ctx.shape
     joined = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (L, hh * hd))
-    return ad.add(ad.matmul(joined, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+    out = ad.add(ad.matmul(joined, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+    return ad.reshape(out, lead + out.shape)
 
 
 def assert_grads_match(fused: dict, reference: dict) -> None:
@@ -419,10 +419,10 @@ def test_model_losses_match_unfused_reference(monkeypatch):
 def test_composite_gradient_check():
     m = tiny_model(seed=1, dtype=np.float64)
     rng = np.random.default_rng(11)
-    image = rng.random((8, 8))
+    image = rng.random((1, 8, 8))
     plan = plan_patch_mask(4, np.random.default_rng(1), ratio=0.5)
-    ids = np.array([3, MASK_ID, 5, MASK_ID], dtype=np.int64)
-    targets = np.array([3, 4, 5, 6], dtype=np.int64)
+    ids = np.array([[3, MASK_ID, 5, MASK_ID]], dtype=np.int64)
+    targets = np.array([[3, 4, 5, 6]], dtype=np.int64)
     # nudge the zero-initialized SR conv so its gradient path is generic
     m.params["sr.conv2.w"].assign_(np.random.default_rng(12).normal(0, 0.05, size=(1, 2, 3, 3)))
 
@@ -444,8 +444,8 @@ def test_composite_gradient_check():
 
     def f(_):
         patches = patchify(image, 4)
-        f_v = m.encode_image(patches[list(plan.visible)], plan.visible)
-        recon = m.decode_image(f_v, plan)
+        f_v = m.encode_image(patches[:, list(plan.visible)], plan.visible)
+        recon = m.decode_image(f_v, [plan])
         sr = m.sr_head(recon)
         bundle = m.mscf_fuse(f_v, m.embed_text(ids))
         logits = m.decode_text(bundle.f_f)

@@ -308,6 +308,15 @@ def test_sample_losses_finite_and_sr_switch():
     assert bundle2.values()["l_sr"] == 0.0
 
 
+@pytest.mark.parametrize("flags", [{}, {"use_sr": False}, {"use_descriptor_mask": False}],
+                         ids=["all", "no-sr", "no-descriptor-mask"])
+def test_sample_losses_terms_are_scalars(flags):
+    samples, data, model = small_world(n=4)
+    bundle = sample_losses(model, samples[0], data.docs[0], data.factors,
+                           np.random.default_rng(0), np.random.default_rng(1), **flags)
+    assert [t.shape for t in (bundle.mim, bundle.mlm, bundle.sr, bundle.total)] == [()] * 4
+
+
 def test_sample_losses_rejects_wrong_resolution():
     samples, data, model = small_world(n=4)
     bad = SynthSample(
@@ -760,8 +769,11 @@ def test_linear_probe_shuffle_is_the_same_in_every_process():
 
 
 def test_scipy_optimize_loads_only_for_the_probe():
-    code = "import sys, pairmask.cli, pairmask.trainer; print('scipy.optimize' in sys.modules)"
-    assert _run_python(code).strip() == "False"
+    # both imports are deferred to their one caller; at module level they
+    # add to every process's start-up time and peak memory
+    code = ("import sys, pairmask.cli, pairmask.trainer; "
+            "print('scipy.optimize' in sys.modules, 'urllib.request' in sys.modules)")
+    assert _run_python(code).strip() == "False False"
 
 
 def test_linear_probe_skips_single_class_entities():
