@@ -15,7 +15,8 @@ Two fused operators keep graphs small. ``linear`` is ``x @ w + b`` as one
 node, and ``attention`` is a whole multi-head attention (four
 projections, head split and join, softmax, both matmuls) as one node.
 The vjps of a fused node share one backward computation, memoised on the
-incoming gradient.
+incoming gradient. The unfused ``matmul`` and ``softmax`` they replaced
+live in ``tests/`` as references.
 
 Batches: in ``(..., L, D)`` inputs, axis -2 holds one sample's rows and
 any axes before it index samples. Every operator computes each sample's
@@ -308,27 +309,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * np.asarray(s, dtype=a.data.dtype), (a,), (lambda g: g * s,), "scale")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Both 2-D, or both stacked with equal leading dims."""
-    _check_same_dtype("matmul", a, b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: ranks {a.ndim} and {b.ndim}, need >= 2")
-    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: batch dims differ, {a.shape} vs {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
-    data = a.data @ b.data
-    return _make(
-        data,
-        (a, b),
-        (
-            lambda g: g @ b.data.swapaxes(-1, -2),
-            lambda g: a.data.swapaxes(-1, -2) @ g,
-        ),
-        "matmul",
-    )
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map of the last axis, ``x @ w + b``: (..., Din) -> (..., Dout).
 
@@ -494,24 +474,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, tuple(tensors), tuple(vjp_for(i) for i in range(len(tensors))), "concat")
 
 
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice along one axis."""
-    n = a.shape[axis]
-    if not (0 <= start <= stop <= n):
-        raise ShapeError(f"slice_axis: [{start}:{stop}] out of range for axis size {n}")
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-    shape = a.shape
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        out = np.zeros(shape, dtype=g.dtype)
-        out[index] = g
-        return out
-
-    return _make(a.data[index].copy(), (a,), (vjp,), "slice_axis")
-
-
 def take_rows(a: Tensor, indices) -> Tensor:
     """Gather rows; duplicate indices accumulate in backward, in index order.
 
@@ -611,19 +573,6 @@ def layer_normalize(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
         ),
         "layer_normalize",
     )
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax (max-subtracted) along ``axis``."""
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return data * (g - dot)
-
-    return _make(data, (x,), (vjp,), "softmax")
 
 
 def _gelu_gate(x: np.ndarray) -> np.ndarray:

@@ -2,9 +2,8 @@
 
 Subcommands cover the full workflow: generate a paired synthetic
 corpus, inspect its descriptor statistics, produce distilled summaries
-(rule-based or through a remote chat endpoint), pre-train, probe frozen
-features, and spot-check the autodiff engine against finite
-differences. Every command exits 0 on success and 1 on failure;
+(rule-based or through a remote chat endpoint), pre-train, and probe
+frozen features. Every command exits 0 on success and 1 on failure;
 argparse usage errors exit 2.
 """
 
@@ -16,9 +15,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
-from . import autodiff as ad
 from .corpus import DEFAULT_BETA, DEFAULT_ENTITY_LEXICON, Vocabulary, annotate, load_word_list, tokenize
 from .distill import (
     DEFAULT_CREDENTIAL_ENV,
@@ -299,74 +295,6 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    worst = {}
-
-    x = ad.parameter(rng.normal(size=(4, 6)), dtype=np.float64)
-    g = ad.parameter(rng.normal(size=(6,)), dtype=np.float64)
-    b = ad.parameter(rng.normal(size=(6,)), dtype=np.float64)
-    worst["layer_normalize"] = ad.grad_check(
-        lambda _: ad.mean(ad.mul(ad.layer_normalize(x, g, b), ad.layer_normalize(x, g, b))), [x, g, b]
-    )
-    s = ad.parameter(rng.normal(size=(3, 5)), dtype=np.float64)
-    worst["softmax"] = ad.grad_check(
-        lambda _: ad.mean(ad.mul(ad.softmax(s), ad.softmax(s))), [s]
-    )
-    h = ad.parameter(rng.normal(size=(4, 4)), dtype=np.float64)
-    worst["gelu"] = ad.grad_check(lambda _: ad.mean(ad.mul(ad.gelu(h), ad.gelu(h))), [h])
-    img = ad.parameter(rng.normal(size=(1, 6, 6)), dtype=np.float64)
-    w = ad.parameter(rng.normal(size=(2, 1, 3, 3)), dtype=np.float64)
-    cb = ad.parameter(rng.normal(size=(2,)), dtype=np.float64)
-    worst["conv2d"] = ad.grad_check(
-        lambda _: ad.mean(ad.mul(ad.conv2d(img, w, cb), ad.conv2d(img, w, cb))), [img, w, cb]
-    )
-    u = ad.parameter(rng.normal(size=(5, 5)), dtype=np.float64)
-    worst["bilinear_upsample"] = ad.grad_check(
-        lambda _: ad.mean(ad.mul(ad.bilinear_upsample(u), ad.bilinear_upsample(u))), [u]
-    )
-    xs = ad.parameter(rng.normal(size=(2, 3, 4)), dtype=np.float64)
-    lw = ad.parameter(rng.normal(size=(4, 5)), dtype=np.float64)
-    lb = ad.parameter(rng.normal(size=(5,)), dtype=np.float64)
-    worst["linear"] = ad.grad_check(
-        lambda _: ad.mean(ad.mul(ad.linear(xs, lw, lb), ad.linear(xs, lw, lb))), [xs, lw, lb]
-    )
-    kv = ad.parameter(rng.normal(size=(2, 5, 4)), dtype=np.float64)
-    aw = [ad.parameter(rng.normal(size=(4, 4) if i % 2 == 0 else (4,)), dtype=np.float64) for i in range(8)]
-    # bk is left out: its true gradient is 0 (the softmax cancels it)
-    worst["attention"] = ad.grad_check(
-        lambda _: ad.mean(ad.mul(ad.attention(xs, kv, *aw, heads=2), ad.attention(xs, kv, *aw, heads=2))),
-        [xs, kv] + aw[:3] + aw[4:],
-    )
-    # batched trials come last so the trials above keep their inputs
-    imgs = ad.parameter(rng.normal(size=(3, 1, 5, 5)), dtype=np.float64)
-    worst["conv2d batched"] = ad.grad_check(
-        lambda _: ad.mean(ad.mul(ad.conv2d(imgs, w, cb), ad.conv2d(imgs, w, cb))), [imgs, w, cb]
-    )
-    us = ad.parameter(rng.normal(size=(3, 4, 5)), dtype=np.float64)
-    worst["bilinear batched"] = ad.grad_check(
-        lambda _: ad.mean(ad.mul(ad.bilinear_upsample(us), ad.bilinear_upsample(us))), [us]
-    )
-    rows = ad.parameter(rng.normal(size=(3, 4, 2)), dtype=np.float64)
-    picks = rng.integers(0, 4, size=(3, 5))
-    worst["take_rows batched"] = ad.grad_check(
-        lambda _: ad.mean(ad.mul(ad.take_rows(rows, picks), ad.take_rows(rows, picks))), [rows]
-    )
-    vals = ad.parameter(rng.normal(size=(3, 4)), dtype=np.float64)
-    lists = [rng.integers(0, 4, size=k) for k in (3, 0, 1)]
-    worst["gather_sum"] = ad.grad_check(
-        lambda _: ad.mean(ad.mul(ad.gather_sum(vals, lists), ad.gather_sum(vals, lists))), [vals]
-    )
-
-    failed = False
-    for name, err in worst.items():
-        status = "ok" if err < args.tolerance else "FAIL"
-        if err >= args.tolerance:
-            failed = True
-        print(f"{name:20s} max rel err {err:.3e}  {status}")
-    return 1 if failed else 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -454,11 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", action="store_true",
                    help="also probe a randomly initialized model")
     p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("gradcheck", help="finite-difference spot check of the autodiff ops")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.set_defaults(func=cmd_gradcheck)
 
     return parser
 

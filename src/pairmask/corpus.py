@@ -28,7 +28,6 @@ OOV_ID = 1
 MASK_ID = 2
 
 SOURCE_ORIGINAL = "original"
-SOURCE_DISTILLED = "distilled"
 SOURCE_CONCAT = "concatenated"
 
 POLARITY_NEGATIVE = "negative"
@@ -127,9 +126,6 @@ class TokenSeq:
     def tokens(self) -> list:
         """(surface, vocab_id, position) triples, contract form."""
         return [(s, int(i), p) for p, (s, i) in enumerate(zip(self.surfaces, self.ids))]
-
-    def is_pad(self, position: int) -> bool:
-        return position >= self.real_len
 
 
 @dataclass(frozen=True)

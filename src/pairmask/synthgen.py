@@ -190,14 +190,6 @@ def downsample(image: np.ndarray, factor: int = 2) -> np.ndarray:
     return total
 
 
-class GroundTruthAttention:
-    """Attention provider backed by the generator's lesion masks: the
-    ``attention_map`` that ``gen_sample`` and ``load_dataset`` store."""
-
-    def __call__(self, sample: SynthSample) -> np.ndarray:
-        return sample.attention
-
-
 # ---------------------------------------------------------------------------
 # on-disk layout: reports.jsonl + labels.jsonl + raw float32 images
 # ---------------------------------------------------------------------------

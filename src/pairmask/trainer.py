@@ -448,6 +448,8 @@ def pretrain(
     """Run the step loop; returns one metrics dict per step."""
     if len(samples) != len(data.docs):
         raise ValueError("pretrain: samples and prepared docs misaligned")
+    if start_step > cfg.steps:
+        raise ValueError(f"pretrain: start_step {start_step} is past the run's steps {cfg.steps}")
     if opt is None:
         opt = AdamW(model.params, opt_cfg)
     pool = list(zip(samples, data.docs))
@@ -724,6 +726,8 @@ def linear_probe(
     n = len(samples)
     if features.shape[0] != n:
         raise ValueError("linear_probe: features misaligned with samples")
+    if not 0.0 < train_frac < 1.0:
+        raise ValueError(f"linear_probe: train_frac {train_frac} is outside (0, 1)")
     rng = np.random.default_rng([seed, STREAM_PROBE])
     order = rng.permutation(n)
     n_train = int(round(train_frac * n))

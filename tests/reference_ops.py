@@ -1,0 +1,47 @@
+"""Unfused reference operators for the tests.
+
+The model builds attention as one fused ``autodiff.attention`` node. The
+primitive ``matmul`` and ``softmax`` it replaced are the reference that
+node is held to: ``tests/test_model.py`` rebuilds the unfused attention
+from them. Each keeps its own gradient trials (c03 in
+``tests/test_acceptance.py``, and ``tests/test_autodiff.py``). Nothing
+under ``src/`` imports this module.
+"""
+
+import numpy as np
+
+from pairmask.autodiff import ShapeError, Tensor, _check_same_dtype, _make
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product. Both 2-D, or both stacked with equal leading dims."""
+    _check_same_dtype("matmul", a, b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul: ranks {a.ndim} and {b.ndim}, need >= 2")
+    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul: batch dims differ, {a.shape} vs {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
+    data = a.data @ b.data
+    return _make(
+        data,
+        (a, b),
+        (
+            lambda g: g @ b.data.swapaxes(-1, -2),
+            lambda g: a.data.swapaxes(-1, -2) @ g,
+        ),
+        "matmul",
+    )
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax (max-subtracted) along ``axis``."""
+    z = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    data = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        dot = (g * data).sum(axis=axis, keepdims=True)
+        return data * (g - dot)
+
+    return _make(data, (x,), (vjp,), "softmax")

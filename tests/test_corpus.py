@@ -32,8 +32,6 @@ class TestTokenize:
         seq = corpus.tokenize("a b c", vocab, max_len=5)
         assert len(seq) == 5
         assert seq.real_len == 3
-        assert seq.is_pad(3) and seq.is_pad(4)
-        assert not seq.is_pad(2)
         assert list(seq.ids[3:]) == [vocab.pad_id, vocab.pad_id]
         truncated = corpus.tokenize("a b c", vocab, max_len=2)
         assert truncated.surfaces == ["a", "b"]

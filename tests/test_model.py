@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_ops import matmul, softmax
 
 import pairmask.autodiff as ad
 from pairmask.corpus import MASK_ID
@@ -336,15 +337,15 @@ def reference_attention(model, prefix, query, kv):
         L, d = x.shape
         return ad.transpose(ad.reshape(x, (L, h, d // h)), (1, 0, 2))
 
-    q = ad.add(ad.matmul(query, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
-    k = ad.add(ad.matmul(kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
-    v = ad.add(ad.matmul(kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
+    q = ad.add(matmul(query, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
+    k = ad.add(matmul(kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
+    v = ad.add(matmul(kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
     scale = 1.0 / math.sqrt(model.cfg.dim // h)
-    scores = ad.scale(ad.matmul(split(q), ad.transpose(split(k), (0, 2, 1))), scale)
-    ctx = ad.matmul(ad.softmax(scores, axis=-1), split(v))
+    scores = ad.scale(matmul(split(q), ad.transpose(split(k), (0, 2, 1))), scale)
+    ctx = matmul(softmax(scores, axis=-1), split(v))
     hh, L, hd = ctx.shape
     joined = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (L, hh * hd))
-    out = ad.add(ad.matmul(joined, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+    out = ad.add(matmul(joined, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
     return ad.reshape(out, lead + out.shape)
 
 

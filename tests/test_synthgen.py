@@ -133,17 +133,11 @@ class TestAttention:
         assert np.all(a[mask > 0] > 0)
         assert (a > 0).sum() > (mask > 0).sum()
 
-    def test_ground_truth_provider(self):
-        s = synthgen.gen_dataset(small_spec(p_positive=0.9), 1)[0]
-        a = synthgen.GroundTruthAttention()(s)
-        np.testing.assert_array_equal(a, s.attention)
-
-    def test_ground_truth_provider_returns_the_stored_map(self, tmp_path):
+    def test_stored_attention_is_the_map_of_the_lesion_mask(self, tmp_path):
         samples = synthgen.gen_dataset(small_spec(p_positive=0.5), 4)
         synthgen.save_dataset(samples, tmp_path)
         for s in samples + synthgen.load_dataset(tmp_path):
             np.testing.assert_array_equal(s.attention, synthgen.attention_map(s.lesion_mask))
-            assert synthgen.GroundTruthAttention()(s) is s.attention
 
 
 class TestDownsample:

@@ -3,6 +3,7 @@ the evaluation probes."""
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -740,6 +741,14 @@ def test_linear_probe_shuffled_labels_near_chance():
     feats[:, 3] += 5.0 * y
     result = linear_probe(feats, samples, ["pneumonia"], seed=0, shuffle_labels=True)
     assert 0.2 <= result.per_entity["pneumonia"] <= 0.8
+
+
+def test_linear_probe_refuses_a_train_frac_outside_0_1():
+    samples = probe_samples(20, seed=1)
+    feats = np.random.default_rng(2).normal(size=(20, 4))
+    for frac in (-0.5, 1.5):
+        with pytest.raises(ValueError, match=re.escape(f"train_frac {frac}")):
+            linear_probe(feats, samples, ["pneumonia"], train_frac=frac)
 
 
 _SHUFFLED_PROBE = """
