@@ -192,7 +192,6 @@ def extract_descriptors(
     seq: TokenSeq,
     mentions: Sequence[EntityMention],
     beta: int = DEFAULT_BETA,
-    negation_terms: frozenset = DEFAULT_NEGATION_TERMS,
 ) -> list:
     """One DescriptorSpan per mention: up to ``beta`` preceding words.
 
@@ -230,7 +229,8 @@ def extract_descriptors(
             claimed.add(i)
             i -= 1
         indices = tuple(sorted(collected))
-        polarity = classify_polarity_words([seq.surfaces[i] for i in indices], negation_terms)
+        negated = any(seq.surfaces[i] in DEFAULT_NEGATION_TERMS for i in indices)
+        polarity = POLARITY_NEGATIVE if negated else POLARITY_OTHER
         spans.append(
             DescriptorSpan(
                 token_indices=indices,
@@ -240,10 +240,6 @@ def extract_descriptors(
             )
         )
     return spans
-
-
-def classify_polarity_words(words: Sequence[str], negation_terms: frozenset = DEFAULT_NEGATION_TERMS) -> str:
-    return POLARITY_NEGATIVE if any(w in negation_terms for w in words) else POLARITY_OTHER
 
 
 @dataclass
@@ -263,10 +259,9 @@ def annotate(
     seq: TokenSeq,
     lexicon: frozenset = DEFAULT_ENTITY_LEXICON,
     beta: int = DEFAULT_BETA,
-    negation_terms: frozenset = DEFAULT_NEGATION_TERMS,
 ) -> AnnotatedReport:
     mentions = match_entities(seq, lexicon)
-    spans = extract_descriptors(seq, mentions, beta=beta, negation_terms=negation_terms)
+    spans = extract_descriptors(seq, mentions, beta=beta)
     return AnnotatedReport(seq=seq, mentions=mentions, spans=spans)
 
 

@@ -65,29 +65,17 @@ DEFAULT_EXAMPLE_BLOCK = (
 
 
 @dataclass(frozen=True)
-class DistillTemplate:
-    system: str = DEFAULT_SYSTEM_MESSAGE
-    instruction: str = DEFAULT_INSTRUCTION
-    example_block: str = DEFAULT_EXAMPLE_BLOCK
-
-
-DEFAULT_TEMPLATE = DistillTemplate()
-
-
-@dataclass(frozen=True)
 class DistillPrompt:
-    """A fully assembled distillation request for one report."""
+    """A fully assembled distillation request for one report, on the
+    module's fixed system message, instruction and one-shot example."""
 
-    system: str
-    instruction: str
-    example_block: str
     report: str
     entities: tuple
 
     def query(self) -> str:
         joined = ", ".join(self.entities)
         return (
-            f"{self.example_block}\n"
+            f"{DEFAULT_EXAMPLE_BLOCK}\n"
             f"Given the report:\n{self.report}\n"
             f"Entities: {joined}.\n"
             f"Conclusion:"
@@ -96,8 +84,8 @@ class DistillPrompt:
     def messages(self) -> list:
         """Chat-completion message list (system, instruction, query)."""
         return [
-            {"role": "system", "content": self.system},
-            {"role": "user", "content": self.instruction},
+            {"role": "system", "content": DEFAULT_SYSTEM_MESSAGE},
+            {"role": "user", "content": DEFAULT_INSTRUCTION},
             {"role": "user", "content": self.query()},
         ]
 
@@ -106,18 +94,16 @@ class DistillPrompt:
             {
                 "report": self.report,
                 "entities": list(self.entities),
-                "system": self.system,
-                "instruction": self.instruction,
-                "example_block": self.example_block,
+                "system": DEFAULT_SYSTEM_MESSAGE,
+                "instruction": DEFAULT_INSTRUCTION,
+                "example_block": DEFAULT_EXAMPLE_BLOCK,
             },
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def build_prompt(
-    report: str, entities: Sequence[str], template: DistillTemplate = DEFAULT_TEMPLATE
-) -> DistillPrompt:
+def build_prompt(report: str, entities: Sequence[str]) -> DistillPrompt:
     """Assemble the one-shot prompt; entities deduped in first-seen order."""
     deduped = []
     for e in entities:
@@ -125,13 +111,7 @@ def build_prompt(
             deduped.append(e)
     if not deduped:
         raise ValueError("build_prompt: entity list is empty")
-    return DistillPrompt(
-        system=template.system,
-        instruction=template.instruction,
-        example_block=template.example_block,
-        report=report,
-        entities=tuple(deduped),
-    )
+    return DistillPrompt(report=report, entities=tuple(deduped))
 
 
 @dataclass(frozen=True)
@@ -287,7 +267,7 @@ def distill_remote(
     """Distill via the remote client with caching and retries.
 
     Responses are cached on disk keyed by a content hash of the report,
-    entity list and template; a hit never touches the network. Transport
+    entity list and prompt text; a hit never touches the network. Transport
     failures retry with exponential backoff (``backoff * 2**attempt``)
     up to ``max_attempts``; parse failures are not retried.
     """

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .masking import patchify, patchify_t
+from .masking import patchify
 
 DEFAULT_LAMBDA_NEG = 0.05
 
@@ -81,24 +81,28 @@ def unit_factors(n_neg: int, n_oth: int) -> RebalanceFactors:
     return RebalanceFactors(1.0, 1.0, n_neg, n_oth, one, one)
 
 
-def loss_mim(recon: Tensor, target: np.ndarray, plans, patch: int) -> Tensor:
+def loss_mim(rows: Tensor, target: np.ndarray, plans, patch: int) -> Tensor:
     """Mean squared error over masked patches only: (B,) per-sample losses.
 
-    ``recon`` and ``target`` are (B, H, W) images and ``plans`` holds one
-    ``PatchMaskPlan`` per sample. Both images are cut into the same
-    row-major patch grid and only the rows in each ``plan.masked`` enter
+    ``rows`` is the decoder's (B, N, patch^2) output, ``target`` the
+    (B, H, W) images it reconstructs, and ``plans`` holds one
+    ``PatchMaskPlan`` per sample. The target is cut into the same
+    row-major patch grid, and only the rows in each ``plan.masked`` enter
     that sample's average, so visible-patch pixels cannot influence the
     value or the gradient.
     """
     plans = list(plans)
+    expected = (len(plans), plans[0].n_patches if plans else 0, patch * patch)
+    if rows.shape != expected:
+        raise ValueError(f"loss_mim: rows {rows.shape} must be (B, n_patches, patch^2) = {expected}")
     if any(not p.masked for p in plans):
         raise ValueError("loss_mim: plan masks no patches")
     if len({len(p.masked) for p in plans}) > 1:
         raise ValueError("loss_mim: plans mask different numbers of patches")
     idx = np.array([p.masked for p in plans], dtype=np.int64)
-    pred_rows = ad.take_rows(patchify_t(recon, patch), idx)
+    pred_rows = ad.take_rows(rows, idx)
     target_rows = np.take_along_axis(patchify(target, patch), idx[..., None], axis=-2)
-    return ad.mse(pred_rows, ad.constant(target_rows, dtype=recon.data.dtype))
+    return ad.mse(pred_rows, ad.constant(target_rows, dtype=rows.data.dtype))
 
 
 def loss_mlm(logits: Tensor, target_ids: np.ndarray, plans, factors: RebalanceFactors) -> Tensor:

@@ -7,8 +7,10 @@ uniformly without replacement as the random set. Patch masking is the
 same exact-count draw over the patch grid. Plans are pure functions of
 (inputs, rng state), so a seeded generator reproduces them bit for bit.
 
-Patchify comes twice: on numpy arrays for inputs and targets, and on
-autodiff tensors for model outputs. Both take leading batch axes.
+Patches go each way once: ``patchify`` cuts numpy images into the rows
+the encoder reads and the reconstruction loss compares against, and
+``unpatchify_t`` reassembles the decoder's autodiff rows into the image
+the super-resolution head upsamples. Both take leading batch axes.
 """
 
 from __future__ import annotations
@@ -145,34 +147,13 @@ def patchify(image: np.ndarray, patch: int) -> np.ndarray:
     return tiles.reshape(*lead, gh * gw, patch * patch)
 
 
-def unpatchify(patches: np.ndarray, height: int, width: int, patch: int) -> np.ndarray:
-    """Inverse of :func:`patchify`: [..., N, patch*patch] -> [..., H, W]."""
-    gh, gw = height // patch, width // patch
-    if patches.shape[-2:] != (gh * gw, patch * patch):
-        raise ValueError(f"unpatchify: got {patches.shape}, expected (..., {gh * gw}, {patch * patch})")
-    tiles = patches.reshape(*patches.shape[:-2], gh, gw, patch, patch).swapaxes(-3, -2)
-    return tiles.reshape(*patches.shape[:-2], height, width)
-
-
 def _tile_axes(lead: int) -> tuple:
     """Swap the two middle axes of (..., a, b, c, d): the patch/pixel shuffle."""
     return tuple(range(lead)) + (lead, lead + 2, lead + 1, lead + 3)
 
 
-def patchify_t(image: ad.Tensor, patch: int) -> ad.Tensor:
-    """Differentiable :func:`patchify`: (..., H, W) -> (..., N, patch*patch)."""
-    if image.ndim < 2:
-        raise ValueError(f"patchify_t: image {image.shape} must be (..., H, W)")
-    *lead, h, w = image.shape
-    if h % patch or w % patch:
-        raise ValueError(f"patchify_t: image {image.shape} not divisible by patch {patch}")
-    gh, gw = h // patch, w // patch
-    tiles = ad.transpose(ad.reshape(image, (*lead, gh, patch, gw, patch)), _tile_axes(len(lead)))
-    return ad.reshape(tiles, (*lead, gh * gw, patch * patch))
-
-
 def unpatchify_t(patches: ad.Tensor, height: int, width: int, patch: int) -> ad.Tensor:
-    """Differentiable inverse of :func:`patchify_t`: (..., N, patch*patch) -> (..., H, W)."""
+    """Differentiable inverse of :func:`patchify`: (..., N, patch*patch) -> (..., H, W)."""
     gh, gw = height // patch, width // patch
     *lead, n, p2 = patches.shape
     if (n, p2) != (gh * gw, patch * patch):

@@ -1,9 +1,9 @@
 """The paired masked-autoencoding model, desk scale.
 
 One shared trunk serves four heads: a pre-norm ViT encoder over visible
-image patches, a light decoder that reconstructs the full low-res image
-from encoded patches plus a learned mask token, a residual
-super-resolution head over the reconstruction, and a text path that
+image patches, a light decoder that reconstructs every patch's low-res
+pixels from encoded patches plus a learned mask token, a residual
+super-resolution head over the reassembled image, and a text path that
 embeds (masked) report tokens, fuses them with vision features at two
 scales, and decodes token logits. All tensors flow through the autodiff
 engine; every trainable array lives in ``Model.params`` under a stable
@@ -12,7 +12,8 @@ are fused ``linear`` nodes and each attention is one fused ``attention``
 node, for training and evaluation alike.
 
 Every method takes a leading batch axis: ``(B, N, D)`` patch features,
-``(B, L)`` token ids, ``(B, H, W)`` images. Visible patches can sit at
+``(B, L)`` token ids, ``(B, H, W)`` images; the image decoder returns
+``(B, N, patch^2)`` patch rows. Visible patches can sit at
 different positions in each sample (MAE's gather, arXiv 2111.06377):
 ``encode_image`` takes per-sample positions, and the image decoder takes
 one ``PatchMaskPlan`` per sample, so one sample is a batch of one.
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .masking import patchify, unpatchify_t
+from .masking import patchify
 
 MODE_GLOBAL = "global"
 MODE_LOCAL = "local"
@@ -269,14 +270,13 @@ class Model:
         return ad.add(ordered, self._positions(range(n)))
 
     def decode_image(self, f_v: Tensor, plans) -> Tensor:
-        """Reconstruct full low-res images (B, H, W) from f_v (B, N_vis, D), one plan per sample."""
+        """Reconstruct every patch's pixels from f_v (B, N_vis, D), one plan
+        per sample: (B, N, patch^2) rows in ``patchify`` order."""
         x = self.decoder_sequence(f_v, plans)
         for i in range(self.cfg.decoder_depth):
             x = self._block(f"dec.{i}", x)
         x = self._ln("dec.norm", x)
-        pred = ad.linear(x, self.params["dec.head.w"], self.params["dec.head.b"])
-        size = self.cfg.image_size
-        return unpatchify_t(pred, size, size, self.cfg.patch)
+        return ad.linear(x, self.params["dec.head.w"], self.params["dec.head.b"])
 
     def sr_head(self, low: Tensor) -> Tensor:
         """Residual super-resolution: bilinear 2x plus a learned correction, (..., H, W) -> (..., 2H, 2W)."""

@@ -54,8 +54,8 @@ from .losses import (
     loss_total,
     unit_factors,
 )
-from .masking import apply_text_mask, patchify, plan_patch_mask, plan_text_mask
-from .model import Model
+from .masking import apply_text_mask, patchify, plan_patch_mask, plan_text_mask, unpatchify_t
+from .model import MODE_LOCAL, Model
 from .synthgen import LABEL_PRESENT, SynthSample, downsample
 
 STREAM_TEXT = 1
@@ -339,13 +339,13 @@ def _losses(
     visible = np.array([plan.visible for plan in plans], dtype=np.int64)
     patches = np.take_along_axis(patchify(low, cfg.patch), visible[..., None], axis=-2)
     f_v = model.encode_image(patches, visible)
-    recon = model.decode_image(f_v, plans)
-    mim = loss_mim(recon, low, plans, cfg.patch)
+    rows = model.decode_image(f_v, plans)
+    mim = loss_mim(rows, low, plans, cfg.patch)
 
     if use_sr:
         weights = np.stack([s.attention if attention is None else attention(s) for s in samples])
-        hi = images.astype(dtype)
-        sr = loss_sr(model.sr_head(recon), hi, weights)
+        recon = unpatchify_t(rows, cfg.image_size, cfg.image_size, cfg.patch)
+        sr = loss_sr(model.sr_head(recon), images.astype(dtype), weights)
     else:
         sr = ad.constant(np.zeros(mim.shape), dtype=dtype)
 
@@ -642,7 +642,7 @@ def eval_descriptor_accuracy(
     with ad.no_grad():
         for chunk in chunks:
             low = downsample(np.stack([samples[i].image for i in chunk]), cfg.sr_factor).astype(np.float32)
-            f_v = model.encode_image(patchify(low, cfg.patch), range(cfg.n_patches))
+            f_v = model.forward_finetune(low, mode=MODE_LOCAL)
             plans, ids = [], []
             for i in chunk:
                 doc = data.docs[i]
@@ -777,7 +777,7 @@ class ModelAttention:
         low = downsample(sample.image, cfg.sr_factor).astype(np.float32)
         seq = _truncate(tokenize(sample.report, self.vocab), cfg.max_text_len)
         with ad.no_grad():
-            f_v = self.model.encode_image(patchify(low, cfg.patch), range(cfg.n_patches))
+            f_v = self.model.forward_finetune(low, mode=MODE_LOCAL)
             bundle = self.model.mscf_fuse(f_v, self.model.embed_text(seq.ids))
         t = bundle.f_t.data.mean(axis=0)
         v = bundle.f_v_local.data

@@ -1,16 +1,23 @@
-"""Unfused reference operators for the tests.
+"""Reference operators for the tests, replaced in the program by fused
+or shorter paths.
 
 The model builds attention as one fused ``autodiff.attention`` node. The
 primitive ``matmul`` and ``softmax`` it replaced are the reference that
 node is held to: ``tests/test_model.py`` rebuilds the unfused attention
 from them. Each keeps its own gradient trials (c03 in
-``tests/test_acceptance.py``, and ``tests/test_autodiff.py``). Nothing
-under ``src/`` imports this module.
+``tests/test_acceptance.py``, and ``tests/test_autodiff.py``).
+
+``patchify_t`` cut the reconstructed image back into patch rows for the
+reconstruction loss, before the decoder handed the loss its rows
+directly; ``tests/test_losses.py`` holds the rows path to that round
+trip. Nothing under ``src/`` imports this module.
 """
 
 import numpy as np
 
+from pairmask import autodiff as ad
 from pairmask.autodiff import ShapeError, Tensor, _check_same_dtype, _make
+from pairmask.masking import _tile_axes
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -45,3 +52,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return data * (g - dot)
 
     return _make(data, (x,), (vjp,), "softmax")
+
+
+def patchify_t(image: ad.Tensor, patch: int) -> ad.Tensor:
+    """Differentiable :func:`patchify`: (..., H, W) -> (..., N, patch*patch)."""
+    if image.ndim < 2:
+        raise ValueError(f"patchify_t: image {image.shape} must be (..., H, W)")
+    *lead, h, w = image.shape
+    if h % patch or w % patch:
+        raise ValueError(f"patchify_t: image {image.shape} not divisible by patch {patch}")
+    gh, gw = h // patch, w // patch
+    tiles = ad.transpose(ad.reshape(image, (*lead, gh, patch, gw, patch)), _tile_axes(len(lead)))
+    return ad.reshape(tiles, (*lead, gh * gw, patch * patch))

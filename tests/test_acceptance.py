@@ -25,7 +25,7 @@ from pairmask.corpus import (
 )
 from pairmask.distill import distill_rule_based, parse_distilled
 from pairmask.losses import compute_rebalance, loss_mim, loss_sr, unit_factors
-from pairmask.masking import patchify, plan_patch_mask, plan_text_mask, unpatchify
+from pairmask.masking import patchify, plan_patch_mask, plan_text_mask, unpatchify_t
 from pairmask.model import Model, ModelConfig
 from pairmask.synthgen import SynthSample, SynthSpec, gen_dataset
 from pairmask.trainer import (
@@ -404,13 +404,14 @@ def test_c05_loss_support(capsys):
     plan = plan_patch_mask(cfg.n_patches, np.random.default_rng(6))
     patches = patchify(low, cfg.patch)
     f_v = model.encode_image(patches[:, list(plan.visible)], plan.visible)
-    recon = model.decode_image(f_v, [plan])
+    rows = model.decode_image(f_v, [plan])
+    recon = unpatchify_t(rows, 8, 8, cfg.patch)
 
-    base = loss_mim(recon, low, [plan], cfg.patch).item()
-    rows = patches.copy()
-    rows[:, list(plan.visible)] += 3.0
-    perturbed = unpatchify(rows, 8, 8, cfg.patch)
-    moved = loss_mim(recon, perturbed, [plan], cfg.patch).item()
+    base = loss_mim(rows, low, [plan], cfg.patch).item()
+    bumped = patches.copy()
+    bumped[:, list(plan.visible)] += 3.0
+    perturbed = unpatchify_t(ad.constant(bumped), 8, 8, cfg.patch).data
+    moved = loss_mim(rows, perturbed, [plan], cfg.patch).item()
     mim_invariant = moved == base
 
     hi = rng.uniform(0.0, 1.0, size=(1, 16, 16)).astype(np.float32)

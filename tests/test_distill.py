@@ -26,19 +26,14 @@ class TestBuildPrompt:
         assert "Entities: aorta, inflation, effusion.\n" in q
         assert q.endswith("Conclusion:")
 
-    def test_template_fields_pass_through_unchanged(self):
-        t = distill.DistillTemplate(system="s", instruction="i", example_block="e")
-        p = distill.build_prompt("r", ["edema"], template=t)
-        assert (p.system, p.instruction, p.example_block) == ("s", "i", "e")
-
     def test_default_template_is_wired(self):
         p = distill.build_prompt("r", ["edema"])
-        assert p.system == distill.DEFAULT_SYSTEM_MESSAGE
-        assert p.instruction == distill.DEFAULT_INSTRUCTION
-        assert p.example_block == distill.DEFAULT_EXAMPLE_BLOCK
+        assert p.query().startswith(distill.DEFAULT_EXAMPLE_BLOCK + "\n")
         msgs = p.messages()
         assert [m["role"] for m in msgs] == ["system", "user", "user"]
         assert msgs[0]["content"] == distill.DEFAULT_SYSTEM_MESSAGE
+        assert msgs[1]["content"] == distill.DEFAULT_INSTRUCTION
+        assert msgs[2]["content"] == p.query()
 
     def test_entities_deduped_in_order(self):
         p = distill.build_prompt("r", ["edema", "mass", "edema"])
@@ -53,8 +48,16 @@ class TestBuildPrompt:
         assert base.cache_key() == distill.build_prompt("r", ["edema"]).cache_key()
         assert base.cache_key() != distill.build_prompt("r2", ["edema"]).cache_key()
         assert base.cache_key() != distill.build_prompt("r", ["mass"]).cache_key()
-        other_template = distill.DistillTemplate(system="different")
-        assert base.cache_key() != distill.build_prompt("r", ["edema"], other_template).cache_key()
+
+    def test_cache_key_is_stable_across_releases(self):
+        # keys written by earlier releases name the files of existing caches
+        assert distill.build_prompt("r", ["edema"]).cache_key() == (
+            "84cc9eadfd90bd3f44982f4bb3e231c9e6fadf9a137cce2d61f20ed78e237c22"
+        )
+        assert distill.build_prompt("there is no edema. there is mild nodule.",
+                                    ["edema", "nodule", "edema"]).cache_key() == (
+            "577a745bb87b5f9b2dccfcb0413f9574ea4f36c4d722ba8a9e0ce2b6e7f605bf"
+        )
 
 
 class TestParse:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_ops import patchify_t
 
 import pairmask.autodiff as ad
 from pairmask.losses import (
@@ -18,7 +19,7 @@ from pairmask.losses import (
     loss_total,
     unit_factors,
 )
-from pairmask.masking import PatchMaskPlan, TextMaskPlan, patchify
+from pairmask.masking import PatchMaskPlan, TextMaskPlan, patchify, plan_patch_mask, unpatchify_t
 
 
 def nll_rows(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -87,7 +88,8 @@ def test_mim_matches_numpy_oracle():
     recon_np = rng.normal(size=(8, 8))
     target = rng.normal(size=(8, 8))
     plan = PatchMaskPlan(masked=(0, 3), visible=(1, 2), n_patches=4)
-    loss = loss_mim(ad.constant(recon_np[None], dtype=np.float64), target[None], [plan], patch=4)
+    rows = ad.constant(patchify(recon_np, 4)[None], dtype=np.float64)
+    loss = loss_mim(rows, target[None], [plan], patch=4)
     pr = patchify(recon_np, 4)[[0, 3]]
     tr = patchify(target, 4)[[0, 3]]
     expected = ((pr - tr) ** 2).mean()
@@ -99,21 +101,23 @@ def test_mim_ignores_visible_pixels():
     recon_np = rng.normal(size=(8, 8))
     target = rng.normal(size=(8, 8))
     plan = PatchMaskPlan(masked=(0, 3), visible=(1, 2), n_patches=4)
-    base = loss_mim(ad.constant(recon_np[None], dtype=np.float64), target[None], [plan], patch=4).item()
+    rows = ad.constant(patchify(recon_np, 4)[None], dtype=np.float64)
+    base = loss_mim(rows, target[None], [plan], patch=4).item()
     bumped = recon_np.copy()
     bumped[0:4, 4:8] += 100.0  # patch 1, visible
     bumped[4:8, 0:4] -= 50.0   # patch 2, visible
-    after = loss_mim(ad.constant(bumped[None], dtype=np.float64), target[None], [plan], patch=4).item()
+    rows = ad.constant(patchify(bumped, 4)[None], dtype=np.float64)
+    after = loss_mim(rows, target[None], [plan], patch=4).item()
     assert after == base
 
 
 def test_mim_gradient_zero_on_visible():
     rng = np.random.default_rng(2)
-    recon = ad.parameter(rng.normal(size=(1, 8, 8)))
+    rows = ad.parameter(patchify(rng.normal(size=(1, 8, 8)), 4))
     target = rng.normal(size=(1, 8, 8))
     plan = PatchMaskPlan(masked=(0, 3), visible=(1, 2), n_patches=4)
-    ad.backward(loss_mim(recon, target, [plan], patch=4))
-    g = recon.grad[0]
+    ad.backward(loss_mim(rows, target, [plan], patch=4))
+    g = unpatchify_t(ad.constant(rows.grad), 8, 8, 4).data[0]
     assert np.all(g[0:4, 4:8] == 0.0)
     assert np.all(g[4:8, 0:4] == 0.0)
     assert np.abs(g[0:4, 0:4]).max() > 0
@@ -122,17 +126,45 @@ def test_mim_gradient_zero_on_visible():
 
 def test_mim_gradient_check():
     rng = np.random.default_rng(3)
-    recon = ad.parameter(rng.normal(size=(1, 8, 8)), dtype=np.float64)
+    rows = ad.parameter(patchify(rng.normal(size=(1, 8, 8)), 4), dtype=np.float64)
     target = rng.normal(size=(1, 8, 8))
     plan = PatchMaskPlan(masked=(1, 2, 3), visible=(0,), n_patches=4)
-    err = ad.grad_check(lambda _: loss_mim(recon, target, [plan], patch=4), [recon])
+    err = ad.grad_check(lambda _: loss_mim(rows, target, [plan], patch=4), [rows])
     assert err < 1e-6
 
 
 def test_mim_empty_plan_rejected():
     plan = PatchMaskPlan(masked=(), visible=(0, 1, 2, 3), n_patches=4)
     with pytest.raises(ValueError):
-        loss_mim(ad.constant(np.zeros((1, 8, 8))), np.zeros((1, 8, 8)), [plan], patch=4)
+        loss_mim(ad.constant(np.zeros((1, 4, 16))), np.zeros((1, 8, 8)), [plan], patch=4)
+
+
+def test_mim_refuses_an_image_for_rows():
+    # a 16x16 image at patch 4 has rows of width 16 = patch^2: without the
+    # shape check its first and fourth pixel rows would be scored silently
+    plan = PatchMaskPlan(masked=(0, 3), visible=(1, 2), n_patches=4)
+    with pytest.raises(ValueError, match=r"rows \(1, 16, 16\).*\(1, 4, 16\)"):
+        loss_mim(ad.constant(np.zeros((1, 16, 16))), np.zeros((1, 8, 8)), [plan], patch=4)
+    with pytest.raises(ValueError, match="rows"):
+        loss_mim(ad.constant(np.zeros((4, 16))), np.zeros((1, 8, 8)), [plan], patch=4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mim_on_rows_equals_the_image_round_trip(dtype):
+    # the decoder's rows used to be reassembled into an image and cut back
+    # into the same rows; dropping the round trip moves no bit
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=(3, 4, 16))
+    target = rng.normal(size=(3, 8, 8))
+    plans = [plan_patch_mask(4, np.random.default_rng([7, b]), ratio=0.5) for b in range(3)]
+    direct, via_image = ad.parameter(data, dtype=dtype), ad.parameter(data, dtype=dtype)
+    got = loss_mim(direct, target, plans, patch=4)
+    want = loss_mim(patchify_t(unpatchify_t(via_image, 8, 8, 4), 4), target, plans, patch=4)
+    np.testing.assert_array_equal(got.data, want.data)
+    ad.backward(ad.sum_all(got))
+    ad.backward(ad.sum_all(want))
+    np.testing.assert_array_equal(direct.grad, via_image.grad)
+    assert got.data.dtype == dtype and np.abs(direct.grad).max() > 0
 
 
 # ---------------------------------------------------------------------------

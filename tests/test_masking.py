@@ -154,8 +154,8 @@ class TestPatchify:
     def test_round_trip(self):
         rng = np.random.default_rng(6)
         img = rng.normal(size=(32, 32))
-        back = masking.unpatchify(masking.patchify(img, 8), 32, 32, 8)
-        np.testing.assert_array_equal(back, img)
+        back = masking.unpatchify_t(ad.constant(masking.patchify(img, 8), dtype=np.float64), 32, 32, 8)
+        np.testing.assert_array_equal(back.data, img)
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -178,11 +178,8 @@ def test_patchify_round_trip_property(lead, gh, gw, patch, seed):
     # each sample's rows are that image's own patches
     for i in np.ndindex(*lead):
         np.testing.assert_array_equal(patches[i], masking.patchify(img[i], patch))
-    np.testing.assert_array_equal(masking.unpatchify(patches, h, w, patch), img)
-    np.testing.assert_array_equal(masking.patchify(masking.unpatchify(patches, h, w, patch), patch), patches)
-    rows = masking.patchify_t(ad.constant(img, dtype=np.float64), patch)
-    np.testing.assert_array_equal(rows.data, patches)
-    np.testing.assert_array_equal(masking.unpatchify_t(rows, h, w, patch).data, img)
+    back = masking.unpatchify_t(ad.constant(patches, dtype=np.float64), h, w, patch)
+    np.testing.assert_array_equal(back.data, img)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ from reference_ops import matmul, softmax
 import pairmask.autodiff as ad
 from pairmask.corpus import MASK_ID
 from pairmask.losses import loss_mlm, unit_factors
-from pairmask.masking import PatchMaskPlan, TextMaskPlan, patchify, plan_patch_mask
+from pairmask.masking import PatchMaskPlan, TextMaskPlan, patchify, plan_patch_mask, unpatchify_t
 from pairmask.model import Model, ModelConfig, sinusoid_table
 from pairmask.synthgen import SynthSpec, gen_dataset
 from pairmask.trainer import prepare_training_data, sample_losses
@@ -152,9 +152,9 @@ def test_decode_image_shape_and_mask_token_grad():
     plan = plan_patch_mask(4, np.random.default_rng(0), ratio=0.5)
     patches = patchify(image, 4)
     f_v = m.encode_image(patches[:, list(plan.visible)], plan.visible)
-    recon = m.decode_image(f_v, [plan])
-    assert recon.shape == (1, 8, 8)
-    loss = ad.mse(recon, ad.constant(image))
+    rows = m.decode_image(f_v, [plan])
+    assert rows.shape == (1, 4, 16)
+    loss = ad.mse(rows, ad.constant(patches))
     ad.backward(loss)
     g = m.params["mask_token"].grad
     assert g is not None and np.abs(g).max() > 0
@@ -446,12 +446,12 @@ def test_composite_gradient_check():
     def f(_):
         patches = patchify(image, 4)
         f_v = m.encode_image(patches[:, list(plan.visible)], plan.visible)
-        recon = m.decode_image(f_v, [plan])
-        sr = m.sr_head(recon)
+        rows = m.decode_image(f_v, [plan])
+        sr = m.sr_head(unpatchify_t(rows, 8, 8, 4))
         bundle = m.mscf_fuse(f_v, m.embed_text(ids))
         logits = m.decode_text(bundle.f_f)
         nll = ad.cross_entropy_with_logits(logits, targets)
-        return ad.add(ad.add(ad.mse(recon, ad.constant(image, dtype=np.float64)),
+        return ad.add(ad.add(ad.mse(rows, ad.constant(patches, dtype=np.float64)),
                              ad.mean(ad.mul(sr, sr))),
                       ad.mean(nll))
 

@@ -115,6 +115,26 @@ class TestAttention:
         got = synthgen.attention_map(mask)
         np.testing.assert_allclose(got, brute_force_blur(mask), atol=1e-6)
 
+    def test_equals_scipy_convolve_bit_for_bit(self):
+        # scipy's 2-D convolution is the reference the separable blur replaced
+        from scipy.ndimage import convolve
+
+        kernel = np.outer([1, 4, 6, 4, 1], [1, 4, 6, 4, 1]) / 256.0
+        masks = [s.lesion_mask for s in synthgen.gen_dataset(small_spec(p_positive=0.5, seed=8), 40)]
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            shape = tuple(rng.integers(1, 20, size=2))
+            masks.append((rng.random(shape) < rng.uniform(0.02, 0.6)).astype(np.float32))
+        edge = np.zeros((10, 13), dtype=np.float32)
+        edge[0, :3] = edge[9, 12] = edge[4:7, 0] = 1.0
+        masks += [edge, np.ones((5, 5), dtype=np.float32)]
+        assert sum(m.any() for m in masks) > 60
+        assert sum(bool(m[[0, -1]].any() or m[:, [0, -1]].any()) for m in masks) > 20
+        for mask in masks:
+            blurred = convolve(mask.astype(np.float64), kernel, mode="constant", cval=0.0)
+            want = (blurred / blurred.max() if blurred.max() > 0 else blurred).astype(np.float32)
+            np.testing.assert_array_equal(synthgen.attention_map(mask), want)
+
     def test_zero_mask_zero_map(self):
         a = synthgen.attention_map(np.zeros((16, 16), dtype=np.float32))
         assert not a.any()

@@ -779,10 +779,14 @@ def test_linear_probe_shuffle_is_the_same_in_every_process():
 
 def test_scipy_optimize_loads_only_for_the_probe():
     # both imports are deferred to their one caller; at module level they
-    # add to every process's start-up time and peak memory
+    # add to every process's start-up time and peak memory. scipy.ndimage
+    # is not needed at all: generating a corpus must not load it
     code = ("import sys, pairmask.cli, pairmask.trainer; "
-            "print('scipy.optimize' in sys.modules, 'urllib.request' in sys.modules)")
-    assert _run_python(code).strip() == "False False"
+            "print('scipy.optimize' in sys.modules, 'urllib.request' in sys.modules); "
+            "from pairmask.synthgen import SynthSpec, gen_dataset; "
+            "gen_dataset(SynthSpec(canvas=32, p_positive=0.5, seed=0), 4); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))")
+    assert _run_python(code).split("\n") == ["False False", "[]", ""]
 
 
 def test_linear_probe_skips_single_class_entities():
