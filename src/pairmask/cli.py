@@ -24,6 +24,7 @@ from .distill import (
     distill_remote,
     distill_rule_based,
 )
+from .losses import DEFAULT_LAMBDA_NEG
 from .model import Model, ModelConfig
 from .synthgen import SynthSpec, gen_dataset, load_dataset, save_dataset
 from .trainer import (
@@ -42,31 +43,17 @@ from .trainer import (
 )
 
 
-def _coerce(value: str, target_type):
-    if target_type is bool:
-        low = value.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(f"not a boolean: {value!r}")
-    return target_type(value)
-
-
 def parse_config_overrides(pairs, model_cfg: dict, opt_cfg: dict) -> None:
     """Apply ``key=value`` overrides; ``opt.`` prefix targets the optimizer.
 
     Every field of both config dataclasses is addressable by name; an
     unknown key or an uncoercible value raises ValueError.
     """
-    by_name = {"int": int, "float": float, "bool": bool, "str": str}
-
-    def field_type(f):
-        # dataclass field annotations are strings under deferred evaluation
-        return by_name[f.type] if isinstance(f.type, str) else f.type
-
-    model_fields = {f.name: field_type(f) for f in fields(ModelConfig)}
-    opt_fields = {f.name: field_type(f) for f in fields(OptimizerConfig)}
+    # every field is an int or a float, annotated as a string under
+    # deferred evaluation
+    by_name = {"int": int, "float": float}
+    model_fields = {f.name: by_name[f.type] for f in fields(ModelConfig)}
+    opt_fields = {f.name: by_name[f.type] for f in fields(OptimizerConfig)}
     for pair in pairs or ():
         if "=" not in pair:
             raise ValueError(f"config override must be key=value, got {pair!r}")
@@ -75,11 +62,11 @@ def parse_config_overrides(pairs, model_cfg: dict, opt_cfg: dict) -> None:
             name = key[4:]
             if name not in opt_fields:
                 raise ValueError(f"unknown optimizer config key: {name}")
-            opt_cfg[name] = _coerce(value, opt_fields[name])
+            opt_cfg[name] = opt_fields[name](value)
         else:
             if key not in model_fields:
                 raise ValueError(f"unknown model config key: {key}")
-            model_cfg[key] = _coerce(value, model_fields[key])
+            model_cfg[key] = model_fields[key](value)
 
 
 def _read_checkpoint_config(ckpt_dir) -> tuple:
@@ -320,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--lexicon", help="entity word list file, one word per line")
     p.add_argument("--beta", type=int, default=DEFAULT_BETA)
-    p.add_argument("--lambda-neg", type=float, default=0.05)
+    p.add_argument("--lambda-neg", type=float, default=DEFAULT_LAMBDA_NEG)
     p.add_argument("--no-distill", action="store_true",
                    help="measure original reports only, without distilled text")
     p.set_defaults(func=cmd_stats)
@@ -350,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--lexicon")
     p.add_argument("--beta", type=int, default=DEFAULT_BETA)
-    p.add_argument("--lambda-neg", type=float, default=0.05)
+    p.add_argument("--lambda-neg", type=float, default=DEFAULT_LAMBDA_NEG)
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)

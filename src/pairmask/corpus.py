@@ -27,9 +27,6 @@ PAD_ID = 0
 OOV_ID = 1
 MASK_ID = 2
 
-SOURCE_ORIGINAL = "original"
-SOURCE_CONCAT = "concatenated"
-
 POLARITY_NEGATIVE = "negative"
 POLARITY_OTHER = "other"
 
@@ -63,7 +60,12 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+|[^a-z0-9\s]")
 
 
 class Vocabulary:
-    """Word-level vocabulary with reserved pad/OOV/mask ids."""
+    """Word-level vocabulary with reserved pad/OOV/mask ids.
+
+    Nothing pads a sequence, but id 0 stays reserved for ``[PAD]``:
+    freeing it would shift every word id by one and so every embedding
+    row a checkpoint holds.
+    """
 
     def __init__(self, words: Sequence[str] = ()):
         self.word2id = {PAD_TOKEN: PAD_ID, OOV_TOKEN: OOV_ID, MASK_TOKEN: MASK_ID}
@@ -72,10 +74,6 @@ class Vocabulary:
                 self.word2id[w] = len(self.word2id)
         self.id2word = {i: w for w, i in self.word2id.items()}
 
-    pad_id = PAD_ID
-    oov_id = OOV_ID
-    mask_id = MASK_ID
-
     def __len__(self) -> int:
         return len(self.word2id)
 
@@ -83,7 +81,7 @@ class Vocabulary:
         return word in self.word2id
 
     def lookup(self, word: str) -> int:
-        return self.word2id.get(word, self.oov_id)
+        return self.word2id.get(word, OOV_ID)
 
     @classmethod
     def from_texts(cls, texts: Iterable[str]) -> "Vocabulary":
@@ -102,30 +100,21 @@ class Vocabulary:
 class TokenSeq:
     """A tokenized text with aligned surfaces and vocabulary ids.
 
-    Positions are the list indices. ``boundary`` is the index of the
-    first appended (distilled) token when two texts were joined, else
-    None. ``real_len`` counts tokens before padding.
+    Positions are the list indices; every position is a real token.
+    ``boundary`` is the index of the first appended (distilled) token
+    when two texts were joined, else None.
     """
 
     surfaces: list
     ids: np.ndarray
-    source: str = SOURCE_ORIGINAL
     boundary: Optional[int] = None
-    real_len: int = 0
 
     def __post_init__(self):
-        if self.real_len == 0:
-            self.real_len = len(self.surfaces)
         if len(self.surfaces) != len(self.ids):
             raise ValueError("TokenSeq: surfaces and ids length mismatch")
 
     def __len__(self) -> int:
         return len(self.surfaces)
-
-    @property
-    def tokens(self) -> list:
-        """(surface, vocab_id, position) triples, contract form."""
-        return [(s, int(i), p) for p, (s, i) in enumerate(zip(self.surfaces, self.ids))]
 
 
 @dataclass(frozen=True)
@@ -152,21 +141,17 @@ class DescriptorSpan:
 def tokenize(text: str, vocab: Vocabulary, max_len: Optional[int] = None) -> TokenSeq:
     """Lowercase word-level tokenization; punctuation keeps its own token.
 
-    With ``max_len`` the output is truncated then padded to exactly that
-    length; pad positions are flagged via ``real_len`` and are never
-    maskable. Raises on text that normalizes to nothing.
+    With ``max_len`` only the first ``max_len`` tokens are kept; a
+    shorter text stays short, since nothing pads. Raises on
+    ``max_len < 1`` and on text that normalizes to nothing.
     """
-    surfaces = _TOKEN_RE.findall(text.lower())
+    if max_len is not None and max_len < 1:
+        raise ValueError(f"tokenize: max_len {max_len} < 1")
+    surfaces = _TOKEN_RE.findall(text.lower())[:max_len]
     if not surfaces:
         raise ValueError("tokenize: empty text after normalization")
-    if max_len is not None:
-        surfaces = surfaces[:max_len]
     ids = np.array([vocab.lookup(w) for w in surfaces], dtype=np.int64)
-    real_len = len(surfaces)
-    if max_len is not None and real_len < max_len:
-        surfaces = surfaces + [PAD_TOKEN] * (max_len - real_len)
-        ids = np.concatenate([ids, np.full(max_len - real_len, vocab.pad_id, dtype=np.int64)])
-    return TokenSeq(surfaces=surfaces, ids=ids, real_len=real_len)
+    return TokenSeq(surfaces=surfaces, ids=ids)
 
 
 def fold_plural(word: str, lexicon: frozenset) -> Optional[str]:
@@ -181,7 +166,7 @@ def fold_plural(word: str, lexicon: frozenset) -> Optional[str]:
 def match_entities(seq: TokenSeq, lexicon: frozenset = DEFAULT_ENTITY_LEXICON) -> list:
     """All lexicon mentions in order; one mention per matching token."""
     mentions = []
-    for pos in range(seq.real_len):
+    for pos in range(len(seq)):
         canonical = fold_plural(seq.surfaces[pos], lexicon)
         if canonical is not None:
             mentions.append(EntityMention(entity=canonical, token_index=pos, surface=seq.surfaces[pos]))

@@ -305,22 +305,10 @@ def distill_remote(
 def concat_input(original: TokenSeq, distilled: TokenSeq, max_len: Optional[int] = None) -> TokenSeq:
     """Join original and distilled tokens with a recorded boundary.
 
-    The distilled segment is truncated first when a maximum length is
-    given; the boundary always equals the kept original length.
+    The joined sequence keeps its first ``max_len`` tokens, so the
+    distilled segment is cut first; the boundary always equals the kept
+    original length.
     """
-    o_surf = list(original.surfaces[: original.real_len])
-    d_surf = list(distilled.surfaces[: distilled.real_len])
-    o_ids = original.ids[: original.real_len]
-    d_ids = distilled.ids[: distilled.real_len]
-    if max_len is not None:
-        if len(o_surf) > max_len:
-            o_surf, o_ids = o_surf[:max_len], o_ids[:max_len]
-        room = max_len - len(o_surf)
-        d_surf, d_ids = d_surf[:room], d_ids[:room]
-    boundary = len(o_surf)
-    return TokenSeq(
-        surfaces=o_surf + d_surf,
-        ids=np.concatenate([o_ids, d_ids]),
-        source=corpus.SOURCE_CONCAT,
-        boundary=boundary,
-    )
+    surfaces = (original.surfaces + distilled.surfaces)[:max_len]
+    ids = np.concatenate([original.ids, distilled.ids])[:max_len]
+    return TokenSeq(surfaces=surfaces, ids=ids, boundary=min(len(original), len(surfaces)))

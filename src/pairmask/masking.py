@@ -2,8 +2,8 @@
 
 Text masking is two-stage: every descriptor-span position is masked
 unconditionally (split by polarity into the negative and other sets),
-then an exact-count 75% of the remaining non-pad positions is drawn
-uniformly without replacement as the random set. Patch masking is the
+then an exact-count 75% of the remaining positions is drawn uniformly
+without replacement as the random set. Patch masking is the
 same exact-count draw over the patch grid. Plans are pure functions of
 (inputs, rng state), so a seeded generator reproduces them bit for bit.
 
@@ -34,7 +34,7 @@ def exact_count(ratio: float, n: int) -> int:
 
 @dataclass(frozen=True)
 class TextMaskPlan:
-    """Disjoint position sets; union with ``visible`` is all non-pads."""
+    """Disjoint position sets; union with ``visible`` is every position."""
 
     descriptor_neg: tuple
     descriptor_oth: tuple
@@ -63,16 +63,15 @@ def plan_text_mask(
     """Plan which token positions get masked.
 
     Descriptor positions are always masked; the random set is an
-    exact-count uniform draw over what remains. Positions past
-    ``seq.real_len`` (pads) are never candidates.
+    exact-count uniform draw over what remains.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"plan_text_mask: ratio {ratio} outside [0, 1]")
     neg, oth = set(), set()
     for span in spans:
         for i in span.token_indices:
-            if i >= seq.real_len:
-                raise ValueError(f"plan_text_mask: span index {i} in padding")
+            if not 0 <= i < len(seq):
+                raise ValueError(f"plan_text_mask: span index {i} outside a sequence of length {len(seq)}")
             if span.polarity == POLARITY_NEGATIVE:
                 neg.add(i)
             else:
@@ -82,13 +81,13 @@ def plan_text_mask(
         raise ValueError(f"plan_text_mask: polarity overlap at positions {sorted(overlap)}")
 
     candidates = np.array(
-        [p for p in range(seq.real_len) if p not in neg and p not in oth], dtype=np.int64
+        [p for p in range(len(seq)) if p not in neg and p not in oth], dtype=np.int64
     )
     k = exact_count(ratio, candidates.size)
     chosen = rng.permutation(candidates)[:k] if candidates.size else np.empty(0, dtype=np.int64)
     random_set = set(int(i) for i in chosen)
     visible = tuple(
-        p for p in range(seq.real_len) if p not in neg and p not in oth and p not in random_set
+        p for p in range(len(seq)) if p not in neg and p not in oth and p not in random_set
     )
     return TextMaskPlan(
         descriptor_neg=tuple(sorted(neg)),
@@ -99,8 +98,8 @@ def plan_text_mask(
     )
 
 
-def apply_text_mask(seq: TokenSeq, plan: TextMaskPlan, mask_id: int) -> TokenSeq:
-    """Replace planned positions with the mask id; original seq untouched.
+def apply_text_mask(seq: TokenSeq, plan: TextMaskPlan, mask_id: int) -> np.ndarray:
+    """A copy of ``seq.ids`` with the planned positions set to the mask id.
 
     The caller keeps the input sequence; its ids at masked positions are
     the prediction targets.
@@ -108,16 +107,8 @@ def apply_text_mask(seq: TokenSeq, plan: TextMaskPlan, mask_id: int) -> TokenSeq
     if plan.seq_len != len(seq):
         raise ValueError(f"apply_text_mask: plan built for length {plan.seq_len}, seq is {len(seq)}")
     ids = seq.ids.copy()
-    for pos in plan.masked:
-        ids[pos] = mask_id
-    surfaces = list(seq.surfaces)
-    return TokenSeq(
-        surfaces=surfaces,
-        ids=ids,
-        source=seq.source,
-        boundary=seq.boundary,
-        real_len=seq.real_len,
-    )
+    ids[list(plan.masked)] = mask_id
+    return ids
 
 
 def plan_patch_mask(

@@ -37,7 +37,6 @@ from .corpus import (
     AnnotatedReport,
     CorpusStats,
     MASK_ID,
-    TokenSeq,
     Vocabulary,
     annotate,
     compute_stats,
@@ -45,6 +44,7 @@ from .corpus import (
 )
 from .distill import concat_input, distill_rule_based
 from .losses import (
+    DEFAULT_LAMBDA_NEG,
     LossBundle,
     RebalanceFactors,
     compute_rebalance,
@@ -226,23 +226,12 @@ class PreparedData:
     factors: RebalanceFactors
 
 
-def _truncate(seq: TokenSeq, max_len: int) -> TokenSeq:
-    if seq.real_len <= max_len:
-        return seq
-    return TokenSeq(
-        surfaces=list(seq.surfaces[:max_len]),
-        ids=seq.ids[:max_len].copy(),
-        source=seq.source,
-        boundary=seq.boundary if seq.boundary is not None and seq.boundary < max_len else None,
-    )
-
-
 def prepare_training_data(
     samples: Sequence[SynthSample],
     lexicon: frozenset = corpus_mod.DEFAULT_ENTITY_LEXICON,
     beta: int = corpus_mod.DEFAULT_BETA,
     max_text_len: int = 64,
-    lambda_neg: float = 0.05,
+    lambda_neg: float = DEFAULT_LAMBDA_NEG,
     use_distill: bool = True,
     use_rebalance: bool = True,
     distilled_texts: Optional[Sequence[str]] = None,
@@ -252,33 +241,29 @@ def prepare_training_data(
     Distillation defaults to the deterministic rule-based path;
     externally produced texts (for example from a remote model) can be
     passed pre-computed via ``distilled_texts``, aligned with samples.
+    Without distillation every report gets an empty extra text, which
+    appends nothing and adds no word to the vocabulary. Each document
+    keeps its first ``max_text_len`` tokens, report first.
     """
     if not samples:
         raise ValueError("prepare_training_data: no samples")
     texts = [s.report for s in samples]
 
-    if use_distill:
-        if distilled_texts is None:
-            vocab0 = Vocabulary.from_texts(texts)
-            pre = [annotate(tokenize(t, vocab0), lexicon, beta=beta) for t in texts]
-            distilled_texts = [distill_rule_based(a).raw for a in pre]
-        elif len(distilled_texts) != len(samples):
-            raise ValueError("prepare_training_data: distilled_texts misaligned with samples")
-        vocab = Vocabulary.from_texts(list(texts) + [d for d in distilled_texts if d])
-        docs = []
-        for text, extra in zip(texts, distilled_texts):
-            orig = tokenize(text, vocab)
-            if extra:
-                seq = concat_input(orig, tokenize(extra, vocab), max_len=max_text_len)
-            else:
-                seq = _truncate(orig, max_text_len)
-            docs.append(annotate(seq, lexicon, beta=beta))
-    else:
-        vocab = Vocabulary.from_texts(texts)
-        docs = [
-            annotate(_truncate(tokenize(t, vocab), max_text_len), lexicon, beta=beta)
-            for t in texts
-        ]
+    if not use_distill:
+        distilled_texts = [""] * len(texts)
+    elif distilled_texts is None:
+        vocab0 = Vocabulary.from_texts(texts)
+        pre = [annotate(tokenize(t, vocab0), lexicon, beta=beta) for t in texts]
+        distilled_texts = [distill_rule_based(a).raw for a in pre]
+    elif len(distilled_texts) != len(samples):
+        raise ValueError("prepare_training_data: distilled_texts misaligned with samples")
+    vocab = Vocabulary.from_texts(list(texts) + [d for d in distilled_texts if d])
+    docs = []
+    for text, extra in zip(texts, distilled_texts):
+        seq = tokenize(text, vocab, max_text_len)
+        if extra:
+            seq = concat_input(seq, tokenize(extra, vocab), max_text_len)
+        docs.append(annotate(seq, lexicon, beta=beta))
 
     stats = compute_stats(docs)
     if use_rebalance:
@@ -353,7 +338,7 @@ def _losses(
     for (_, doc), rng in zip(pairs, rngs_text):
         spans = doc.spans if use_descriptor_mask else []
         tplans.append(plan_text_mask(doc.seq, spans, rng, ratio=cfg.text_mask_ratio))
-        masked_ids.append(apply_text_mask(doc.seq, tplans[-1], MASK_ID).ids)
+        masked_ids.append(apply_text_mask(doc.seq, tplans[-1], MASK_ID))
     groups: dict = {}
     for slot, (_, doc) in enumerate(pairs):
         groups.setdefault(len(doc.seq), []).append(slot)
@@ -450,6 +435,8 @@ def pretrain(
         raise ValueError("pretrain: samples and prepared docs misaligned")
     if start_step > cfg.steps:
         raise ValueError(f"pretrain: start_step {start_step} is past the run's steps {cfg.steps}")
+    if cfg.batch_size < 1:
+        raise ValueError(f"pretrain: batch_size {cfg.batch_size} < 1")
     if opt is None:
         opt = AdamW(model.params, opt_cfg)
     pool = list(zip(samples, data.docs))
@@ -648,7 +635,7 @@ def eval_descriptor_accuracy(
                 doc = data.docs[i]
                 rng = np.random.default_rng([seed, STREAM_EVAL, i])
                 plans.append(plan_text_mask(doc.seq, doc.spans, rng, ratio=cfg.text_mask_ratio))
-                ids.append(apply_text_mask(doc.seq, plans[-1], MASK_ID).ids)
+                ids.append(apply_text_mask(doc.seq, plans[-1], MASK_ID))
             bundle = model.mscf_fuse(f_v, model.embed_text(np.stack(ids)))
             pred = model.decode_text(bundle.f_f).data.argmax(axis=-1)
             for row, i, tplan in zip(pred, chunk, plans):
@@ -775,7 +762,7 @@ class ModelAttention:
     def __call__(self, sample: SynthSample) -> np.ndarray:
         cfg = self.model.cfg
         low = downsample(sample.image, cfg.sr_factor).astype(np.float32)
-        seq = _truncate(tokenize(sample.report, self.vocab), cfg.max_text_len)
+        seq = tokenize(sample.report, self.vocab, cfg.max_text_len)
         with ad.no_grad():
             f_v = self.model.forward_finetune(low, mode=MODE_LOCAL)
             bundle = self.model.mscf_fuse(f_v, self.model.embed_text(seq.ids))

@@ -111,7 +111,7 @@ def test_c02_masking_contract(capsys):
     doc = annotate(tokenize(text, vocab), DEFAULT_ENTITY_LEXICON, beta=2)
     span_positions = {i for s in doc.spans for i in s.token_indices}
     assert span_positions, "masking contract needs a report with descriptor spans"
-    candidates = [p for p in range(doc.seq.real_len) if p not in span_positions]
+    candidates = [p for p in range(len(doc.seq)) if p not in span_positions]
     c_txt = len(candidates)
     k_txt = int(round(0.75 * c_txt))
 
@@ -615,7 +615,7 @@ def test_c10_ablation_isolation(world, capsys):
         plans_shift = plans_shift and (
             len(with_spans.descriptor_neg) + len(with_spans.descriptor_oth) > 0
             and without.descriptor_neg == () and without.descriptor_oth == ()
-            and len(without.random) == int(round(0.75 * doc.seq.real_len))
+            and len(without.random) == int(round(0.75 * len(doc.seq)))
         )
     dm_isolated = dm_images_fixed and plans_shift
 

@@ -110,6 +110,18 @@ def test_pretrain_resume_refuses_to_go_backwards(corpus_dir, tmp_path, capsys):
     assert "step=3\tadam_t=3" in (later / "manifest.tsv").read_text()
 
 
+@pytest.mark.parametrize("batch_size", ["0", "-2"])
+def test_pretrain_rejects_batch_size_below_one(corpus_dir, tmp_path, capsys, batch_size):
+    ckpt = tmp_path / "ckpt"
+    rc = main([
+        "pretrain", "--data", str(corpus_dir), "--steps", "1", "--log-every", "0",
+        "--batch-size", batch_size, "--ckpt-dir", str(ckpt), *SMALL_MODEL,
+    ])
+    assert rc == 1
+    assert f"batch_size {batch_size} < 1" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_pretrain_resume_rejects_config_overrides(corpus_dir, tmp_path, capsys):
     rc = main([
         "pretrain", "--data", str(corpus_dir), "--steps", "1",

@@ -19,20 +19,17 @@ class TestTokenize:
     def test_basic_sentence(self):
         seq = make_seq("There is mild pneumonia.")
         assert seq.surfaces == ["there", "is", "mild", "pneumonia", "."]
-        assert [p for _, _, p in seq.tokens] == [0, 1, 2, 3, 4]
+        assert len(seq.ids) == 5
 
     def test_oov_maps_to_reserved_id(self):
         vocab = corpus.Vocabulary.from_texts(["known words only"])
         seq = corpus.tokenize("known zebra", vocab)
         assert seq.ids[0] == vocab.word2id["known"]
-        assert seq.ids[1] == vocab.oov_id
+        assert seq.ids[1] == corpus.OOV_ID
 
     def test_pad_and_truncate(self):
         vocab = corpus.Vocabulary.from_texts(["a b c"])
-        seq = corpus.tokenize("a b c", vocab, max_len=5)
-        assert len(seq) == 5
-        assert seq.real_len == 3
-        assert list(seq.ids[3:]) == [vocab.pad_id, vocab.pad_id]
+        assert len(corpus.tokenize("a b c", vocab, max_len=5)) == 3
         truncated = corpus.tokenize("a b c", vocab, max_len=2)
         assert truncated.surfaces == ["a", "b"]
 
@@ -59,12 +56,6 @@ class TestMatchEntities:
             ("effusion", 1, "effusions"),
             ("pneumonia", 3, "pneumonia"),
         ]
-
-    def test_no_match_in_pads(self):
-        vocab = corpus.Vocabulary.from_texts(["pneumonia"])
-        seq = corpus.tokenize("pneumonia", vocab, max_len=4)
-        mentions = corpus.match_entities(seq)
-        assert len(mentions) == 1
 
     def test_non_entity_words_ignored(self):
         seq = make_seq("the lungs look wonderful today")
@@ -100,9 +91,7 @@ class TestExtractDescriptors:
     def test_never_crosses_concat_boundary(self):
         vocab = corpus.Vocabulary.from_texts(["very mild pneumonia"])
         seq = corpus.tokenize("very mild pneumonia", vocab)
-        seq = corpus.TokenSeq(
-            surfaces=seq.surfaces, ids=seq.ids, source=corpus.SOURCE_CONCAT, boundary=2
-        )
+        seq = corpus.TokenSeq(surfaces=seq.surfaces, ids=seq.ids, boundary=2)
         mentions = corpus.match_entities(seq)
         assert mentions[0].token_index == 2  # first token of appended text
         spans = corpus.extract_descriptors(seq, mentions)

@@ -292,7 +292,6 @@ class TestConcat:
         cat = distill.concat_input(orig, dist)
         assert len(cat) == 16
         assert cat.boundary == 10
-        assert cat.source == corpus.SOURCE_CONCAT
         assert cat.surfaces[:10] == orig.surfaces
         assert cat.surfaces[10:] == dist.surfaces
 
@@ -306,11 +305,3 @@ class TestConcat:
         assert len(cat) == 64
         assert cat.boundary == 60
         assert cat.surfaces[60:] == ["v0", "v1", "v2", "v3"]
-
-    def test_pad_tokens_never_cross_into_concat(self):
-        vocab = corpus.Vocabulary.from_texts(["a b", "c d"])
-        orig = corpus.tokenize("a b", vocab, max_len=6)
-        dist = corpus.tokenize("c d", vocab)
-        cat = distill.concat_input(orig, dist)
-        assert cat.surfaces == ["a", "b", "c", "d"]
-        assert cat.boundary == 2

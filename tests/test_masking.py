@@ -9,11 +9,9 @@ from pairmask import autodiff as ad
 from pairmask import corpus, masking
 
 
-def seq_of(n, real=None):
-    real = n if real is None else real
-    surfaces = [f"w{i}" for i in range(real)] + [corpus.PAD_TOKEN] * (n - real)
-    ids = np.array(list(range(3, 3 + real)) + [0] * (n - real), dtype=np.int64)
-    return corpus.TokenSeq(surfaces=surfaces, ids=ids, real_len=real)
+def seq_of(n):
+    surfaces = [f"w{i}" for i in range(n)]
+    return corpus.TokenSeq(surfaces=surfaces, ids=np.arange(3, 3 + n, dtype=np.int64))
 
 
 def span_at(indices, polarity, mention_index=None):
@@ -42,12 +40,12 @@ class TestTextPlan:
         assert len(plan.visible) == 2
 
     def test_partition_of_non_pads(self):
-        seq = seq_of(16, real=13)
+        seq = seq_of(13)
         spans = [span_at((0, 1), corpus.POLARITY_NEGATIVE), span_at((5,), corpus.POLARITY_OTHER)]
         plan = masking.plan_text_mask(seq, spans, np.random.default_rng(2))
         sets = [plan.descriptor_neg, plan.descriptor_oth, plan.random, plan.visible]
         union = sorted(sum(sets, ()))
-        assert union == list(range(13))  # pads excluded, partition exact
+        assert union == list(range(13))  # partition exact
         flat = sum(len(s) for s in sets)
         assert flat == 13  # pairwise disjoint
 
@@ -77,9 +75,9 @@ class TestTextPlan:
         with pytest.raises(ValueError, match="ratio"):
             masking.plan_text_mask(seq_of(4), [], np.random.default_rng(0), ratio=1.5)
 
-    def test_span_in_padding_rejected(self):
-        seq = seq_of(8, real=4)
-        with pytest.raises(ValueError, match="padding"):
+    def test_span_past_the_end_rejected(self):
+        seq = seq_of(4)
+        with pytest.raises(ValueError, match="index 5 outside a sequence of length 4"):
             masking.plan_text_mask(seq, [span_at((5,), corpus.POLARITY_OTHER)], np.random.default_rng(0))
 
 
@@ -90,7 +88,7 @@ class TestApply:
             seq, [span_at((1, 2), corpus.POLARITY_OTHER)], np.random.default_rng(3)
         )
         masked = masking.apply_text_mask(seq, plan, mask_id=2)
-        assert int((masked.ids == 2).sum()) == 10
+        assert int((masked == 2).sum()) == 10
         # original retained: targets recoverable at masked positions
         for pos in plan.masked:
             assert seq.ids[pos] != 2
@@ -101,7 +99,7 @@ class TestApply:
         plan = masking.plan_text_mask(seq, [], np.random.default_rng(4))
         masked = masking.apply_text_mask(seq, plan, mask_id=2)
         for pos in plan.visible:
-            assert masked.ids[pos] == seq.ids[pos]
+            assert masked[pos] == seq.ids[pos]
 
     def test_length_mismatch_rejected(self):
         plan = masking.plan_text_mask(seq_of(6), [], np.random.default_rng(5))
@@ -185,12 +183,11 @@ def test_patchify_round_trip_property(lead, gh, gw, patch, seed):
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=40),
-    pad=st.integers(min_value=0, max_value=8),
     seed=st.integers(min_value=0, max_value=2**31),
     ratio=st.floats(min_value=0.0, max_value=1.0),
 )
-def test_plan_invariants_property(n, pad, seed, ratio):
-    seq = seq_of(n + pad, real=n)
+def test_plan_invariants_property(n, seed, ratio):
+    seq = seq_of(n)
     span_idx = (0,) if n > 1 else ()
     spans = [span_at(span_idx, corpus.POLARITY_NEGATIVE, mention_index=1)] if span_idx else []
     plan = masking.plan_text_mask(seq, spans, np.random.default_rng(seed), ratio=ratio)

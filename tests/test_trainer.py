@@ -19,8 +19,6 @@ from pairmask.corpus import (
     DEFAULT_ENTITY_LEXICON,
     MASK_ID,
     POLARITY_OTHER,
-    SOURCE_CONCAT,
-    SOURCE_ORIGINAL,
     annotate,
     tokenize,
 )
@@ -253,7 +251,6 @@ def test_prepare_concatenates_and_annotates():
     samples = gen_dataset(SynthSpec(p_positive=0.3, seed=0), 24)
     data = prepare_training_data(samples)
     assert len(data.docs) == len(samples)
-    assert all(d.seq.source == SOURCE_CONCAT for d in data.docs)
     assert all(d.seq.boundary is not None for d in data.docs)
     assert data.stats.n_oth_tokens > 0
     assert data.factors.identity_residual == 0
@@ -262,7 +259,7 @@ def test_prepare_concatenates_and_annotates():
 def test_prepare_without_distill():
     samples = gen_dataset(SynthSpec(p_positive=0.3, seed=0), 12)
     data = prepare_training_data(samples, use_distill=False)
-    assert all(d.seq.source == SOURCE_ORIGINAL for d in data.docs)
+    assert all(d.seq.boundary is None for d in data.docs)
 
 
 def test_prepare_without_rebalance():
@@ -281,8 +278,36 @@ def test_prepare_accepts_external_distilled_texts():
     samples = gen_dataset(SynthSpec(p_positive=0.3, seed=3), 6)
     extra = ["there is severe edema."] * 6
     data = prepare_training_data(samples, distilled_texts=extra)
-    assert all(d.seq.source == SOURCE_CONCAT for d in data.docs)
+    assert all(d.seq.boundary is not None for d in data.docs)
     assert "severe" in data.vocab
+
+
+@pytest.mark.parametrize("use_distill", [True, False])
+def test_prepare_truncates_to_a_prefix(use_distill):
+    samples = gen_dataset(SynthSpec(p_positive=0.3, seed=0), 12)
+    untruncated = {
+        u: prepare_training_data(samples, max_text_len=10**6, use_distill=u).docs for u in (True, False)
+    }
+    full = untruncated[use_distill]
+    reports = [len(d.seq) for d in untruncated[False]]
+    joined = [len(d.seq) for d in untruncated[True]]
+    below, between, above = min(reports) - 3, (max(reports) + min(joined)) // 2, max(joined) + 3
+    assert below >= 1 and max(reports) < between < min(joined)
+    for max_text_len in (below, between, above):
+        docs = prepare_training_data(samples, max_text_len=max_text_len, use_distill=use_distill).docs
+        for doc, ref, n_report in zip(docs, full, reports):
+            seq = doc.seq
+            assert len(seq) == min(len(ref.seq), max_text_len)
+            assert seq.surfaces == ref.seq.surfaces[: len(seq)]
+            np.testing.assert_array_equal(seq.ids, ref.seq.ids[: len(seq)])
+            assert seq.boundary == (min(n_report, max_text_len) if use_distill else None)
+
+
+@pytest.mark.parametrize("max_text_len", [0, -3])
+def test_prepare_refuses_max_text_len_below_one(max_text_len):
+    samples = gen_dataset(SynthSpec(seed=0), 2)
+    with pytest.raises(ValueError, match=f"max_len {max_text_len} < 1"):
+        prepare_training_data(samples, max_text_len=max_text_len)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +651,7 @@ def per_sample_eval(model, samples, data, seed):
         rng = np.random.default_rng([seed, STREAM_EVAL, i])
         tplan = plan_text_mask(doc.seq, doc.spans, rng, ratio=cfg.text_mask_ratio)
         masked = apply_text_mask(doc.seq, tplan, MASK_ID)
-        logits[i] = model.decode_text(model.mscf_fuse(f_v, model.embed_text(masked.ids)).f_f).data
+        logits[i] = model.decode_text(model.mscf_fuse(f_v, model.embed_text(masked)).f_f).data
         pred = logits[i].argmax(axis=1)
         for pos in tplan.descriptor_oth:
             total += 1
