@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .corpus import DEFAULT_BETA, DEFAULT_ENTITY_LEXICON, Vocabulary, annotate, load_word_list, tokenize
@@ -33,6 +33,7 @@ from .trainer import (
     OptimizerConfig,
     TrainConfig,
     TrainingError,
+    checkpoint_configs,
     eval_descriptor_accuracy,
     extract_features,
     linear_probe,
@@ -67,15 +68,6 @@ def parse_config_overrides(pairs, model_cfg: dict, opt_cfg: dict) -> None:
             if key not in model_fields:
                 raise ValueError(f"unknown model config key: {key}")
             model_cfg[key] = model_fields[key](value)
-
-
-def _read_checkpoint_config(ckpt_dir) -> tuple:
-    """Rebuild ModelConfig and OptimizerConfig from a checkpoint dir."""
-    model_cfg: dict = {}
-    opt_cfg: dict = {}
-    text = (Path(ckpt_dir) / "config.txt").read_text()
-    parse_config_overrides([ln for ln in text.splitlines() if ln], model_cfg, opt_cfg)
-    return ModelConfig(**model_cfg), OptimizerConfig(**opt_cfg)
 
 
 def _lexicon(args) -> frozenset:
@@ -122,7 +114,6 @@ def cmd_stats(args) -> int:
 def cmd_distill(args) -> int:
     samples = load_dataset(args.data)
     lexicon = _lexicon(args)
-    vocab = Vocabulary.from_texts(s.report for s in samples)
 
     client = None
     if args.remote:
@@ -133,7 +124,8 @@ def cmd_distill(args) -> int:
 
     rows = []
     for sample in samples:
-        doc = annotate(tokenize(sample.report, vocab), lexicon, beta=args.beta)
+        # annotate and the distillers read surfaces only, so no vocabulary is built
+        doc = annotate(tokenize(sample.report, Vocabulary()), lexicon, beta=args.beta)
         if client is None:
             report = distill_rule_based(doc)
         else:
@@ -171,16 +163,15 @@ def cmd_pretrain(args) -> int:
     if args.resume:
         if args.config:
             raise ValueError("--config cannot be combined with --resume; the checkpoint fixes the configuration")
-        mcfg, ocfg = _read_checkpoint_config(args.resume)
+        mcfg, ocfg = checkpoint_configs(args.resume)
+        fit_vocab = False
     else:
         model_overrides: dict = {}
         opt_overrides: dict = {}
         parse_config_overrides(args.config, model_overrides, opt_overrides)
-        mcfg_dict = {f.name: getattr(ModelConfig(), f.name) for f in fields(ModelConfig)}
-        mcfg_dict.update(model_overrides)
+        mcfg = ModelConfig(**model_overrides)
         ocfg = OptimizerConfig(**opt_overrides)
-        mcfg = None  # built after the vocabulary is known
-        vocab_override = model_overrides.get("vocab_size")
+        fit_vocab = "vocab_size" not in model_overrides
 
     distilled_texts = None
     if args.distilled:
@@ -190,26 +181,18 @@ def cmd_pretrain(args) -> int:
 
     data = prepare_training_data(
         samples, lexicon=lexicon, beta=args.beta,
-        max_text_len=(mcfg.max_text_len if args.resume else mcfg_dict["max_text_len"]),
+        max_text_len=mcfg.max_text_len,
         lambda_neg=args.lambda_neg,
         use_distill=not args.no_distill,
         use_rebalance=not args.no_rebalance,
         distilled_texts=distilled_texts,
     )
 
-    if args.resume:
-        if len(data.vocab) > mcfg.vocab_size:
-            raise ValueError(
-                f"checkpoint vocab_size {mcfg.vocab_size} too small for corpus ({len(data.vocab)})"
-            )
-    else:
-        if vocab_override is None:
-            mcfg_dict["vocab_size"] = len(data.vocab)
-        elif vocab_override < len(data.vocab):
-            raise ValueError(
-                f"vocab_size {vocab_override} too small for corpus ({len(data.vocab)})"
-            )
-        mcfg = ModelConfig(**mcfg_dict)
+    if fit_vocab:
+        mcfg = replace(mcfg, vocab_size=len(data.vocab))
+    elif len(data.vocab) > mcfg.vocab_size:
+        source = "checkpoint " if args.resume else ""
+        raise ValueError(f"{source}vocab_size {mcfg.vocab_size} too small for corpus ({len(data.vocab)})")
 
     model = Model(mcfg, seed=args.seed)
     opt = AdamW(model.params, ocfg)
@@ -256,7 +239,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_probe(args) -> int:
     samples = load_dataset(args.data)
-    mcfg, ocfg = _read_checkpoint_config(args.ckpt)
+    mcfg, ocfg = checkpoint_configs(args.ckpt)
     model = Model(mcfg, seed=0)
     load_checkpoint(args.ckpt, model, AdamW(model.params, ocfg))
 

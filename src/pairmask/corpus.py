@@ -72,7 +72,6 @@ class Vocabulary:
         for w in words:
             if w not in self.word2id:
                 self.word2id[w] = len(self.word2id)
-        self.id2word = {i: w for w, i in self.word2id.items()}
 
     def __len__(self) -> int:
         return len(self.word2id)

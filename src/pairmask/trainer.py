@@ -22,10 +22,11 @@ along a leading batch axis.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -55,7 +56,7 @@ from .losses import (
     unit_factors,
 )
 from .masking import apply_text_mask, patchify, plan_patch_mask, plan_text_mask, unpatchify_t
-from .model import MODE_LOCAL, Model
+from .model import MODE_LOCAL, Model, ModelConfig
 from .synthgen import LABEL_PRESENT, SynthSample, downsample
 
 STREAM_TEXT = 1
@@ -252,8 +253,8 @@ def prepare_training_data(
     if not use_distill:
         distilled_texts = [""] * len(texts)
     elif distilled_texts is None:
-        vocab0 = Vocabulary.from_texts(texts)
-        pre = [annotate(tokenize(t, vocab0), lexicon, beta=beta) for t in texts]
+        # annotate and the rule-based distiller read surfaces only, so no vocabulary is built
+        pre = [annotate(tokenize(t, Vocabulary()), lexicon, beta=beta) for t in texts]
         distilled_texts = [distill_rule_based(a).raw for a in pre]
     elif len(distilled_texts) != len(samples):
         raise ValueError("prepare_training_data: distilled_texts misaligned with samples")
@@ -437,6 +438,8 @@ def pretrain(
         raise ValueError(f"pretrain: start_step {start_step} is past the run's steps {cfg.steps}")
     if cfg.batch_size < 1:
         raise ValueError(f"pretrain: batch_size {cfg.batch_size} < 1")
+    if cfg.ckpt_every < 0 or (cfg.ckpt_every and not cfg.ckpt_dir):
+        raise ValueError(f"pretrain: ckpt_every {cfg.ckpt_every} must be 0, or positive with a ckpt_dir")
     if opt is None:
         opt = AdamW(model.params, opt_cfg)
     pool = list(zip(samples, data.docs))
@@ -459,7 +462,7 @@ def pretrain(
                 f"step {step}: total {row['total']:.4f} "
                 f"(mim {row['l_mim']:.4f}, mlm {row['l_mlm']:.4f}, sr {row['l_sr']:.4f})"
             )
-        if cfg.ckpt_every and cfg.ckpt_dir and (step + 1) % cfg.ckpt_every == 0:
+        if cfg.ckpt_every and (step + 1) % cfg.ckpt_every == 0:
             save_checkpoint(cfg.ckpt_dir, model, opt, step + 1)
     return metrics
 
@@ -469,130 +472,108 @@ def pretrain(
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: Path, chunks: Sequence) -> None:
-    """Write bytes-like ``chunks`` one after another to a temp file, then rename."""
+CHECKPOINT_FILE = "checkpoint.bin"
+_FIRST_LINE = "pairmask-checkpoint crc32={:08x}\n"
+
+
+def save_checkpoint(ckpt_dir, model: Model, opt: AdamW, step: int) -> None:
+    """Write params and optimizer state to ``ckpt_dir/checkpoint.bin``.
+
+    Line 1 is ``pairmask-checkpoint crc32=<8 hex digits>``, the
+    ``zlib.crc32`` of every byte after it. Line 2 is a JSON header: the
+    step, Adam's ``t``, both configs, the dtype and ``[name, shape]``
+    per parameter in ``model.params`` order. Then come the little-endian
+    raw bytes of the parameters, the first moments and the second
+    moments, each in header order. The file is written under a temp
+    name and renamed, so a crash leaves the previous checkpoint whole.
+    """
+    path = Path(ckpt_dir) / CHECKPOINT_FILE
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = {
+        "step": step, "adam_t": opt.t, "model": asdict(model.cfg), "opt": asdict(opt.cfg),
+        "dtype": np.dtype(model.dtype).name,
+        "params": [[name, list(p.data.shape)] for name, p in model.params.items()],
+    }
+    arrays = [p.data for p in model.params.values()] + [buf[n] for buf in (opt.m, opt.v) for n in model.params]
+    # views, not copies, when the arrays are already contiguous little-endian
+    body = [(json.dumps(header) + "\n").encode()]
+    body += [np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).reshape(-1).view(np.uint8) for a in arrays]
+    crc = 0
+    for chunk in body:
+        crc = zlib.crc32(chunk, crc)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        for chunk in chunks:
+        fh.write(_FIRST_LINE.format(crc).encode())
+        for chunk in body:
             fh.write(chunk)
     os.replace(tmp, path)
 
 
-def save_checkpoint(ckpt_dir, model: Model, opt: AdamW, step: int) -> None:
-    """Write params + optimizer state as a manifest and one raw blob.
+def _read_checkpoint(ckpt_dir) -> tuple:
+    """Read ``checkpoint.bin`` once and check its crc32 and configs; returns
+    the path, the bytes, the header with its configs built, and the offset of the arrays."""
+    path = Path(ckpt_dir) / CHECKPOINT_FILE
+    raw = path.read_bytes()
+    start = raw.find(b"\n") + 1
+    crc = zlib.crc32(memoryview(raw)[start:])
+    if raw[:start] != _FIRST_LINE.format(crc).encode():
+        raise ValueError(f"{path}: damaged or truncated: its first line does not record the crc32 {crc:08x} of the rest")
+    end = raw.find(b"\n", start) + 1
+    header = json.loads(raw[start:end])
+    for key, cls in (("model", ModelConfig), ("opt", OptimizerConfig)):
+        names = {f.name for f in fields(cls)}
+        unknown, missing = sorted(header[key].keys() - names), sorted(names - header[key].keys())
+        if unknown or missing:
+            raise ValueError(f"{path}: {key} config fields do not match: unknown {unknown}, missing {missing}")
+        header[key] = cls(**header[key])
+    return path, raw, header, end
 
-    The blob is little-endian raw array bytes in manifest order; the
-    manifest line format is name, dtype, shape, byte offset. The
-    manifest's ``#meta`` line records the blob's byte length and
-    ``zlib.crc32``. Files are written via temp + rename, manifest last,
-    and ``load_checkpoint`` checks the blob against the manifest, so a
-    crash between the renames cannot pair a new blob with an old
-    manifest silently.
-    """
-    ckpt_dir = Path(ckpt_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
 
-    entries = [(name, p.data) for name, p in model.params.items()]
-    entries += [(f"adam.m.{name}", opt.m[name]) for name in model.params]
-    entries += [(f"adam.v.{name}", opt.v[name]) for name in model.params]
-
-    lines = []
-    chunks = []
-    offset = 0
-    crc = 0
-    for name, arr in entries:
-        # a view, not a copy, when the array is already contiguous little-endian
-        arr_le = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-        shape = ",".join(str(s) for s in arr.shape) or "scalar"
-        lines.append(f"{name}\t{arr.dtype.name}\t{shape}\t{offset}")
-        chunks.append(arr_le)
-        offset += arr_le.nbytes
-        crc = zlib.crc32(arr_le.reshape(-1).view(np.uint8), crc)
-    lines.insert(0, f"#meta\tstep={step}\tadam_t={opt.t}\tbytes={offset}\tcrc32={crc}")
-
-    cfg_lines = [f"{f.name}={getattr(model.cfg, f.name)}" for f in fields(model.cfg)]
-    cfg_lines += [f"opt.{f.name}={getattr(opt.cfg, f.name)}" for f in fields(opt.cfg)]
-
-    _atomic_write(ckpt_dir / "params.bin", chunks)
-    _atomic_write(ckpt_dir / "config.txt", [("\n".join(cfg_lines) + "\n").encode()])
-    _atomic_write(ckpt_dir / "manifest.tsv", [("\n".join(lines) + "\n").encode()])
+def checkpoint_configs(ckpt_dir) -> tuple:
+    """The ``ModelConfig`` and ``OptimizerConfig`` a checkpoint was saved with."""
+    _, _, header, _ = _read_checkpoint(ckpt_dir)
+    return header["model"], header["opt"]
 
 
 def load_checkpoint(ckpt_dir, model: Model, opt: AdamW) -> int:
-    """Restore params and optimizer state in place; returns the step.
+    """Restore params and optimizer state in place from
+    ``ckpt_dir/checkpoint.bin``; returns the step.
 
-    Every named array must match the model bit-for-bit in dtype and
-    shape; mismatches are collected and reported together. A blob whose
-    length or crc32 differs from the manifest's record (truncated, or
-    from another save) raises before anything mutates.
+    Nothing mutates until the whole file has passed its checks: the
+    crc32, the configs, the length, and every parameter's name, shape
+    and dtype against the model, mismatches reported together.
     """
-    ckpt_dir = Path(ckpt_dir)
-    manifest = (ckpt_dir / "manifest.tsv").read_text().splitlines()
-    blob = (ckpt_dir / "params.bin").read_bytes()
-
-    meta = dict(kv.split("=", 1) for kv in manifest[0].split("\t")[1:])
-    missing_meta = sorted({"step", "adam_t", "bytes", "crc32"} - meta.keys())
-    if missing_meta:
-        raise ValueError(f"load_checkpoint: manifest #meta line lacks {', '.join(missing_meta)}")
-    step = int(meta["step"])
-    adam_t = int(meta["adam_t"])
-    if len(blob) != int(meta["bytes"]):
-        raise ValueError(
-            f"load_checkpoint: params.bin truncated or replaced: "
-            f"manifest records {meta['bytes']} bytes, file has {len(blob)}"
-        )
-    crc = zlib.crc32(blob)
-    if crc != int(meta["crc32"]):
-        raise ValueError(
-            f"load_checkpoint: params.bin does not match its manifest: "
-            f"manifest records crc32 {int(meta['crc32']):08x}, file has {crc:08x}"
-        )
-
-    expected = {name: p.data for name, p in model.params.items()}
-    expected.update({f"adam.m.{name}": opt.m[name] for name in model.params})
-    expected.update({f"adam.v.{name}": opt.v[name] for name in model.params})
-
-    parsed = {}
-    offenders = []
-    for line in manifest[1:]:
-        name, dtype_name, shape_s, offset_s = line.split("\t")
-        shape = () if shape_s == "scalar" else tuple(int(s) for s in shape_s.split(","))
-        if name not in expected:
-            offenders.append(f"{name}: not in model")
-            continue
-        target = expected[name]
-        if target.shape != shape or target.dtype.name != dtype_name:
+    path, raw, header, offset = _read_checkpoint(ckpt_dir)
+    dtype = np.dtype(header["dtype"])
+    saved = {name: tuple(shape) for name, shape in header["params"]}
+    offenders = [f"{name}: not in model" for name in saved if name not in model.params]
+    offenders += [f"{name}: missing from checkpoint" for name in model.params if name not in saved]
+    for name in saved.keys() & model.params.keys():
+        data = model.params[name].data
+        if data.shape != saved[name] or data.dtype != dtype:
             offenders.append(
-                f"{name}: checkpoint {dtype_name}{list(shape)} vs model "
-                f"{target.dtype.name}{list(target.shape)}"
+                f"{name}: checkpoint {dtype.name}{list(saved[name])} vs model "
+                f"{data.dtype.name}{list(data.shape)}"
             )
-            continue
-        parsed[name] = (int(offset_s), shape, np.dtype(dtype_name))
-    missing = set(expected) - parsed.keys() - {o.split(":")[0] for o in offenders}
-    offenders.extend(f"{name}: missing from checkpoint" for name in sorted(missing))
     if offenders:
         raise ValueError("load_checkpoint: " + "; ".join(sorted(offenders)))
+    nbytes = 3 * sum(p.data.nbytes for p in model.params.values())
+    if len(raw) - offset != nbytes:
+        raise ValueError(f"{path}: holds {len(raw) - offset} array bytes, its header describes {nbytes}")
 
-    # read-only views of the blob until the copies below
-    stored = {}
-    for name, (offset, shape, dtype) in parsed.items():
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-        if offset + nbytes > len(blob):
-            raise ValueError(
-                f"load_checkpoint: blob truncated at {name} "
-                f"(needs {offset + nbytes} bytes, has {len(blob)})"
-            )
-        stored[name] = np.frombuffer(
-            blob, dtype=dtype.newbyteorder("<"), count=nbytes // dtype.itemsize, offset=offset
-        ).reshape(shape)
-
-    for name, p in model.params.items():
-        p.assign_(stored[name].astype(p.data.dtype))
+    # read-only views of the file's bytes, rows params, m and v, until the copies below
+    stored = np.frombuffer(raw, dtype=dtype.newbyteorder("<"), offset=offset).reshape(3, -1)
+    at = 0
+    for name in saved:
+        p = model.params[name]
+        data, m, v = stored[:, at : at + p.data.size].reshape(3, *p.data.shape)
+        p.assign_(data.astype(p.data.dtype))
         # into the optimizer's views of its flat moment buffers
-        opt.m[name][...] = stored[f"adam.m.{name}"]
-        opt.v[name][...] = stored[f"adam.v.{name}"]
-    opt.t = adam_t
-    return step
+        opt.m[name][...] = m
+        opt.v[name][...] = v
+        at += p.data.size
+    opt.t = header["adam_t"]
+    return header["step"]
 
 
 # ---------------------------------------------------------------------------

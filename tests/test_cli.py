@@ -5,7 +5,9 @@ import json
 import pytest
 
 from pairmask.cli import main, parse_config_overrides
+from pairmask.model import Model
 from pairmask.synthgen import load_dataset
+from pairmask.trainer import AdamW, checkpoint_configs, load_checkpoint
 
 SMALL_MODEL = [
     "--config", "dim=16",
@@ -68,9 +70,7 @@ def test_pretrain_writes_metrics_and_checkpoint(corpus_dir, tmp_path, capsys):
     assert rc == 0
     rows = [json.loads(line) for line in metrics.read_text().splitlines()]
     assert [r["step"] for r in rows] == [0, 1]
-    assert (ckpt / "manifest.tsv").exists()
-    assert (ckpt / "params.bin").exists()
-    assert (ckpt / "config.txt").exists()
+    assert [f.name for f in ckpt.iterdir()] == ["checkpoint.bin"]
     out = capsys.readouterr().out
     assert "final step 1" in out
 
@@ -107,7 +107,11 @@ def test_pretrain_resume_refuses_to_go_backwards(corpus_dir, tmp_path, capsys):
     assert not later.exists()
     # resuming at the last step is a no-op that rewrites the same step
     assert main([*args, "--steps", "3", "--resume", str(ckpt), "--ckpt-dir", str(later)]) == 0
-    assert "step=3\tadam_t=3" in (later / "manifest.tsv").read_text()
+    mcfg, ocfg = checkpoint_configs(later)
+    model = Model(mcfg)
+    opt = AdamW(model.params, ocfg)
+    assert load_checkpoint(later, model, opt) == 3
+    assert opt.t == 3
 
 
 @pytest.mark.parametrize("batch_size", ["0", "-2"])
@@ -120,6 +124,53 @@ def test_pretrain_rejects_batch_size_below_one(corpus_dir, tmp_path, capsys, bat
     assert rc == 1
     assert f"batch_size {batch_size} < 1" in capsys.readouterr().err
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--ckpt-every", "5"], "ckpt_every 5"),
+    (["--ckpt-every", "-1", "--ckpt-dir", "ckpt"], "ckpt_every -1"),
+])
+def test_pretrain_rejects_checkpoint_cadence_that_cannot_act(corpus_dir, tmp_path, capsys, monkeypatch, flags, named):
+    monkeypatch.chdir(tmp_path)
+    rc = main([
+        "pretrain", "--data", str(corpus_dir), "--steps", "2", "--batch-size", "2",
+        "--log-every", "0", *flags, *SMALL_MODEL,
+    ])
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _damaged_checkpoints(ckpt, tmp_path) -> dict:
+    blob = (ckpt / "checkpoint.bin").read_bytes()
+    truncated, flipped, old = tmp_path / "truncated", tmp_path / "flipped", tmp_path / "old"
+    for d in (truncated, flipped, old):
+        d.mkdir()
+    (truncated / "checkpoint.bin").write_bytes(blob[: len(blob) - 100])
+    (flipped / "checkpoint.bin").write_bytes(blob[:200] + bytes([blob[200] ^ 0x10]) + blob[201:])
+    for name in ("params.bin", "manifest.tsv", "config.txt"):
+        (old / name).write_bytes(b"0\n")
+    return {"truncated": truncated, "flipped": flipped, "old": old}
+
+
+@pytest.mark.parametrize("command", ["probe", "resume"])
+def test_damaged_checkpoint_is_a_one_line_error(corpus_dir, tmp_path, capsys, command):
+    ckpt = tmp_path / "ckpt"
+    assert main([
+        "pretrain", "--data", str(corpus_dir), "--steps", "1", "--batch-size", "2",
+        "--log-every", "0", "--ckpt-dir", str(ckpt), *SMALL_MODEL,
+    ]) == 0
+    for kind, damaged in _damaged_checkpoints(ckpt, tmp_path).items():
+        capsys.readouterr()
+        if command == "probe":
+            argv = ["probe", "--data", str(corpus_dir), "--ckpt", str(damaged)]
+        else:
+            argv = ["pretrain", "--data", str(corpus_dir), "--steps", "2", "--resume", str(damaged)]
+        assert main(argv) == 1, kind
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (kind, err)
+        assert str(damaged / "checkpoint.bin") in err, (kind, err)
+        assert "Traceback" not in err
 
 
 def test_pretrain_resume_rejects_config_overrides(corpus_dir, tmp_path, capsys):

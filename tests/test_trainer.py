@@ -2,10 +2,12 @@
 the evaluation probes."""
 
 import dataclasses
+import json
 import os
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +21,11 @@ from pairmask.corpus import (
     DEFAULT_ENTITY_LEXICON,
     MASK_ID,
     POLARITY_OTHER,
+    Vocabulary,
     annotate,
     tokenize,
 )
+from pairmask.distill import distill_rule_based
 from pairmask.masking import apply_text_mask, patchify, plan_text_mask
 from pairmask.model import Model, ModelConfig
 from pairmask.synthgen import (
@@ -44,6 +48,7 @@ from pairmask.trainer import (
     OptimizerConfig,
     TrainConfig,
     TrainingError,
+    checkpoint_configs,
     eval_descriptor_accuracy,
     extract_features,
     linear_probe,
@@ -266,6 +271,22 @@ def test_prepare_without_rebalance():
     samples = gen_dataset(SynthSpec(p_positive=0.3, seed=0), 12)
     data = prepare_training_data(samples, use_rebalance=False)
     assert data.factors.lambda_neg == 1.0 and data.factors.lambda_oth == 1.0
+
+
+def test_prepare_rule_based_pass_needs_no_vocabulary():
+    # the distiller reads surfaces only: distilling against the corpus
+    # vocabulary gives the same texts, vocabulary, docs and factors
+    samples = gen_dataset(SynthSpec(p_positive=0.3, seed=0), 24)
+    vocab = Vocabulary.from_texts(s.report for s in samples)
+    texts = [distill_rule_based(annotate(tokenize(s.report, vocab))).raw for s in samples]
+    data = prepare_training_data(samples)
+    ref = prepare_training_data(samples, distilled_texts=texts)
+    assert data.vocab.word2id == ref.vocab.word2id
+    assert data.factors == ref.factors
+    for doc, ref_doc in zip(data.docs, ref.docs):
+        assert doc.seq.surfaces == ref_doc.seq.surfaces
+        assert np.array_equal(doc.seq.ids, ref_doc.seq.ids)
+        assert (doc.mentions, doc.spans) == (ref_doc.mentions, ref_doc.spans)
 
 
 def test_prepare_rejects_misaligned_distilled():
@@ -581,25 +602,112 @@ def test_load_rejects_truncated_blob(tmp_path):
     samples, data, model = small_world(n=4)
     opt = AdamW(model.params)
     save_checkpoint(tmp_path / "ck", model, opt, step=0)
-    blob = (tmp_path / "ck" / "params.bin").read_bytes()
-    (tmp_path / "ck" / "params.bin").write_bytes(blob[: len(blob) // 2])
+    blob = (tmp_path / "ck" / "checkpoint.bin").read_bytes()
+    (tmp_path / "ck" / "checkpoint.bin").write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(tmp_path / "ck", Model(model.cfg, seed=0), AdamW(Model(model.cfg, seed=0).params))
 
 
-def test_load_rejects_blob_from_another_checkpoint(tmp_path):
-    # a torn save can leave one save's blob under another's manifest; the
-    # shapes match, so only the recorded length and crc32 can tell
-    samples, data, model = small_world(n=4)
-    save_checkpoint(tmp_path / "a", model, AdamW(model.params), step=0)
-    other = Model(model.cfg, seed=1)
-    save_checkpoint(tmp_path / "b", other, AdamW(other.params), step=5)
-    (tmp_path / "a" / "params.bin").write_bytes((tmp_path / "b" / "params.bin").read_bytes())
-    fresh = Model(model.cfg, seed=2)
-    before = {name: p.data.copy() for name, p in fresh.params.items()}
-    with pytest.raises(ValueError, match=r"crc32 [0-9a-f]{8}, file has [0-9a-f]{8}"):
-        load_checkpoint(tmp_path / "a", fresh, AdamW(fresh.params))
-    assert all(np.array_equal(p.data, before[name]) for name, p in fresh.params.items())
+TINY_MODEL = ModelConfig(
+    image_size=16, patch=8, dim=8, encoder_depth=1, decoder_depth=1, text_decoder_depth=1,
+    heads=2, max_text_len=16, vocab_size=16, sr_channels=2, patch_mask_ratio=0.5,
+)
+
+
+def _state(model, opt) -> list:
+    return [a.copy() for name, p in model.params.items() for a in (p.data, opt.m[name], opt.v[name])]
+
+
+def _damaged(blob: bytes, rng):
+    """``blob`` with one bit flipped in each of its first 4 KiB and at 200
+    later bytes, then cut at 50 lengths."""
+    for i in [*range(4096), *rng.choice(np.arange(4096, len(blob)), size=200, replace=False)]:
+        flipped = bytearray(blob)
+        flipped[i] ^= 1 << (int(i) % 8)
+        yield flipped
+    for n in np.linspace(0, len(blob) - 1, 50).astype(int):
+        yield blob[:n]
+
+
+def test_checkpoint_damage_raises_and_mutates_nothing(tmp_path):
+    # every flipped bit and every truncation of every file in the
+    # directory must be refused before anything is restored
+    model = Model(TINY_MODEL, seed=0)
+    opt = AdamW(model.params, OptimizerConfig(lr=1e-3))
+    rng = np.random.default_rng(0)
+    for p in model.params.values():
+        p.grad = rng.standard_normal(p.data.shape).astype(p.data.dtype)
+    opt.step()
+    ckpt = tmp_path / "ck"
+    save_checkpoint(ckpt, model, opt, step=7)
+    assert sorted(f.name for f in ckpt.iterdir()) == ["checkpoint.bin"]
+    first = (ckpt / "checkpoint.bin").read_bytes()
+    save_checkpoint(ckpt, model, opt, step=7)
+    assert (ckpt / "checkpoint.bin").read_bytes() == first
+    assert sorted(f.name for f in ckpt.iterdir()) == ["checkpoint.bin"]
+    assert checkpoint_configs(ckpt) == (TINY_MODEL, OptimizerConfig(lr=1e-3))
+
+    target = Model(TINY_MODEL, seed=1)
+    target_opt = AdamW(target.params, OptimizerConfig(lr=1e-3))
+    before = _state(target, target_opt)
+    n_loads = 0
+    for path in sorted(ckpt.iterdir()):
+        blob = path.read_bytes()
+        for data in _damaged(blob, rng):
+            path.write_bytes(data)
+            with pytest.raises(ValueError):
+                load_checkpoint(ckpt, target, target_opt)
+            n_loads += 1
+        path.write_bytes(blob)
+    assert n_loads == 4096 + 200 + 50
+    # a load that got past its checks would have left the saved state behind
+    assert target_opt.t == 0
+    assert all(np.array_equal(a, b) for a, b in zip(_state(target, target_opt), before))
+    assert load_checkpoint(ckpt, target, target_opt) == 7
+    assert target_opt.t == 1
+    assert all(np.array_equal(a, b) for a, b in zip(_state(target, target_opt), _state(model, opt)))
+
+
+def test_checkpoint_from_before_one_file_format_does_not_load(tmp_path):
+    ckpt = tmp_path / "old"
+    ckpt.mkdir()
+    (ckpt / "manifest.tsv").write_text("#meta\tstep=3\tadam_t=3\tbytes=4\tcrc32=0\n")
+    (ckpt / "params.bin").write_bytes(bytes(4))
+    (ckpt / "config.txt").write_text("dim=8\n")
+    model = Model(TINY_MODEL, seed=0)
+    with pytest.raises(OSError, match="checkpoint.bin"):
+        load_checkpoint(ckpt, model, AdamW(model.params))
+    with pytest.raises(OSError, match="checkpoint.bin"):
+        checkpoint_configs(ckpt)
+
+
+def _rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to a checkpoint's JSON header and record a matching crc32."""
+    blob = path.read_bytes()
+    start = blob.index(b"\n") + 1
+    end = blob.index(b"\n", start) + 1
+    header = json.loads(blob[start:end])
+    edit(header)
+    rest = (json.dumps(header) + "\n").encode() + blob[end:]
+    path.write_bytes(f"pairmask-checkpoint crc32={zlib.crc32(rest):08x}\n".encode() + rest)
+
+
+@pytest.mark.parametrize("key, edit, named", [
+    ("model", lambda cfg: cfg.update(depth=3), "unknown ['depth']"),
+    ("model", lambda cfg: cfg.pop("patch_mask_ratio"), "missing ['patch_mask_ratio']"),
+    ("opt", lambda cfg: cfg.pop("lr"), "missing ['lr']"),
+])
+def test_checkpoint_config_fields_must_match(tmp_path, key, edit, named):
+    model = Model(TINY_MODEL, seed=0)
+    opt = AdamW(model.params)
+    save_checkpoint(tmp_path, model, opt, step=0)
+    _rewrite_header(tmp_path / "checkpoint.bin", lambda header: edit(header[key]))
+    with pytest.raises(ValueError, match=re.escape(f"{key} config fields do not match")) as exc:
+        checkpoint_configs(tmp_path)
+    assert named in str(exc.value) and "checkpoint.bin" in str(exc.value)
+    fresh = Model(TINY_MODEL, seed=1)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_checkpoint(tmp_path, fresh, AdamW(fresh.params))
 
 
 def test_load_rejects_shape_mismatch_listing_names(tmp_path):
