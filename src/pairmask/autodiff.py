@@ -6,10 +6,26 @@ topological order exactly once and accumulates gradients into leaves
 that were created with ``requires_grad=True``.
 
 Scope is deliberately small: exactly the operators the paired-pretraining
-model needs, each with an analytic backward that is validated against
-central finite differences by ``grad_check``. Forward passes are pure
-numpy on contiguous arrays, so identical inputs give bit-identical
-outputs; reductions keep numpy's fixed sequential order.
+model needs, each with an analytic backward that the tests check against
+central finite differences. Forward passes are pure numpy on contiguous
+arrays, so identical inputs give bit-identical outputs; reductions keep
+a fixed order.
+
+``attention``'s softmax and ``layer_normalize`` reduce rows (the last
+axis) without numpy's ``reduce``, which runs far below elementwise speed
+on axes of tens of entries. A row max is pairwise ``np.maximum`` over
+halves, equal to ``np.max`` bit for bit. A row sum is one matrix-vector
+product with a ones vector per matrix, so a sample's rows get the same
+bits alone or in a batch; a mean is that sum times ``1/n``. Moving to
+these sums from ``np.sum`` and ``np.mean`` changed rounding once.
+
+GELU's gate Phi(x) = (1 + erf(x / sqrt(2))) / 2 takes a float32 rational
+``erf`` (Eigen's ``generic_fast_erf_float``: the argument clamped to
+[-4, 4], then ``u P(u^2) / Q(u^2)``, within 4.4e-7 of the float64
+``erf``) in numpy passes, and at float64 the stdlib's ``math.erf`` per
+element. Moving from ``scipy.special.erf`` changed rounding once. numpy's
+``sum``, ``mean`` and scipy's ``erf`` stay in the tests as references,
+held to a stated tolerance.
 
 Two fused operators keep graphs small. ``linear`` is ``x @ w + b`` as one
 node, and ``attention`` is a whole multi-head attention (four
@@ -55,8 +71,9 @@ that call's bit for bit. Flat 1-D operands take numpy's fast
 Inside ``with no_grad():`` operators record no parents and no vjps, so a
 forward-only pass builds no graph; ``backward`` refuses such a result.
 
-Numeric defaults are float32. Gradient checking runs the same graphs at
-float64 (pass 64-bit inputs; ops inherit the dtype of their arguments).
+Numeric defaults are float32. Gradient checks run the same graphs at
+float64 (pass 64-bit inputs; ops inherit the dtype of their arguments);
+the check itself, ``grad_check``, lives in ``tests/reference_ops.py``.
 """
 
 from __future__ import annotations
@@ -67,7 +84,6 @@ from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 DEFAULT_DTYPE = np.float32
 
@@ -98,8 +114,9 @@ class Tensor:
             arr = arr.astype(dtype, copy=False)
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
-        # grad_check perturbs through flat views; keep leaves contiguous, and
-        # 0-d arrays 0-d (np.ascontiguousarray returns at least 1-d)
+        # finite-difference checks perturb leaves through flat views; keep
+        # leaves contiguous, and 0-d arrays 0-d (np.ascontiguousarray
+        # returns at least 1-d)
         self.data: np.ndarray = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
@@ -240,6 +257,36 @@ def _row_sum(g: np.ndarray) -> np.ndarray:
     if g.ndim == 2:
         return g.sum(axis=0)
     return _slot_sum(g.sum(axis=-2), 1)
+
+
+def _max_last(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)`` by pairwise ``np.maximum``.
+
+    The rows are read as the columns of an (n, rows) view. Each pass
+    takes the larger of its two halves into a new contiguous buffer, and
+    folds an odd last row into row 0, until one row is left. A max is
+    exact and ``np.maximum`` propagates NaN, so the result equals
+    ``np.max``'s; numpy's own reduce over a short last axis runs several
+    times slower than these passes over long rows.
+    """
+    m = a.reshape(-1, a.shape[-1]).T
+    if len(m) == 1:
+        m = m.copy()
+    while len(m) > 1:
+        n, half = len(m), len(m) // 2
+        out = np.empty((half, m.shape[1]), dtype=a.dtype)
+        np.maximum(m[:half], m[half : 2 * half], out=out)
+        if n % 2:
+            np.maximum(out[0], m[n - 1], out=out[0])
+        m = out
+    return m.reshape(a.shape[:-1] + (1,))
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, kept as a length-1 axis: one GEMV with a
+    ones vector per matrix of ``a``, so a sample's rows get the same bits
+    alone or in a batch."""
+    return a @ np.ones((a.shape[-1], 1), dtype=a.dtype)
 
 
 def _scatter_add(out: np.ndarray, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -389,9 +436,9 @@ def attention(
     # one (..., h, Lq, Lk) buffer goes scores -> exp -> probabilities in place
     probs = qh @ kh.swapaxes(-1, -2)
     probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= _max_last(probs)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= _sum_last(probs)
     ctx = join(probs @ vh)
     data = ctx @ wo.data + bo.data
     # the vjp takes these out once; the projections, one GEMM each, are
@@ -405,7 +452,7 @@ def attention(
         gctx = (g @ wo.data.T).reshape(lead + (lq, heads, hd)).swapaxes(-3, -2)
         # softmax backward in the (..., h, Lq, Lk) buffer of gctx @ vh^T
         gs = gctx @ vh.swapaxes(-1, -2)
-        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs -= _sum_last(gs * probs)
         gs *= probs
         gs *= scale
         out = {"wo": _weight_grad(ctx, g), "bo": _row_sum(g)}
@@ -550,17 +597,19 @@ def layer_normalize(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(f"layer_normalize: gain/bias {gain.shape}/{bias.shape} vs last dim {n}")
     _check_same_dtype("layer_normalize", x, gain, bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = _sum_last(x.data) * (1.0 / n)
     d = x.data - mu
-    var = (d * d).mean(axis=-1, keepdims=True)
+    var = _sum_last(d * d) * (1.0 / n)
     inv = 1.0 / np.sqrt(var + eps)
-    data = gain.data * (d * inv) + bias.data
+    data = d * inv
+    data *= gain.data
+    data += bias.data
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
         d = x.data - mu
         dxhat = g * gain.data
-        dvar = (dxhat * d).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
-        dmu = -(dxhat.sum(axis=-1, keepdims=True)) * inv
+        dvar = _sum_last(dxhat * d) * (-0.5) * inv**3
+        dmu = -_sum_last(dxhat) * inv
         return dxhat * inv + dvar * (2.0 / n) * d + dmu / n
 
     return _make(
@@ -575,10 +624,49 @@ def layer_normalize(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     )
 
 
+# erf(u) = u P(u^2) / Q(u^2) on [-4, 4], where float32 erf reaches +-1:
+# Eigen's generic_fast_erf_float coefficients, highest power first
+_ERF_P = np.array([
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02,
+], dtype=np.float32)
+_ERF_Q = np.array([
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+    -1.42647390514189e-02,
+], dtype=np.float32)
+_erf_each = np.frompyfunc(math.erf, 1, 1)
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The polynomial ``coeffs`` (highest power first) at ``z``, in ``out``
+    or one new buffer."""
+    out = np.multiply(z, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= z
+    out += coeffs[-1]
+    return out
+
+
 def _gelu_gate(x: np.ndarray) -> np.ndarray:
-    """Phi(x), the standard normal CDF, built in one buffer."""
-    phi = x * _INV_SQRT2
-    erf(phi, out=phi)
+    """Phi(x) = (1 + erf(x / sqrt(2))) / 2, the standard normal CDF.
+
+    float32 clamps u = x / sqrt(2) to [-4, 4] and takes the rational
+    ``u P(u^2) / Q(u^2)``; float64 calls the stdlib's ``math.erf`` per
+    element (only finite-difference checks run at float64).
+    """
+    if x.dtype == np.float64:
+        phi = np.asarray(_erf_each(x * _INV_SQRT2), dtype=np.float64)
+    else:
+        # the kept buffer is made before the two temporaries, which are
+        # then freed above it: in the other order a train step at the
+        # acceptance shape page-faulted about 2.6 MB back in every step
+        phi = x * _INV_SQRT2
+        np.clip(phi, -4.0, 4.0, out=phi)
+        z = phi * phi
+        p = _horner(_ERF_P, z)
+        p *= phi
+        np.divide(p, _horner(_ERF_Q, z, out=phi), out=phi)
     phi += 1.0
     phi *= 0.5
     return phi
@@ -727,11 +815,18 @@ def _offsets(flip: bool) -> list:
 
 
 def _taps(a: np.ndarray, flip: bool) -> np.ndarray:
-    """Zero-padded 3x3 windows of ``a`` (B, C, H, W), tap-major: (B, 9*C, H*W)."""
+    """Zero-padded 3x3 windows of ``a`` (B, C, H, W), tap-major: (B, 9*C, H*W).
+
+    Each tap's window of one padded copy is written into its plane of one
+    (B, 9, C, H, W) buffer.
+    """
     b, c, h, w = a.shape
     ap = np.zeros((b, c, h + 2, w + 2), dtype=a.dtype)
     ap[..., 1 : h + 1, 1 : w + 1] = a
-    return np.stack([ap[..., i : i + h, j : j + w] for i, j in _offsets(flip)], axis=1).reshape(b, 9 * c, h * w)
+    out = np.empty((b, 9, c, h, w), dtype=a.dtype)
+    for k, (i, j) in enumerate(_offsets(flip)):
+        out[:, k] = ap[..., i : i + h, j : j + w]
+    return out.reshape(b, 9 * c, h * w)
 
 
 def _shift_add(y: np.ndarray, h: int, w: int, flip: bool) -> np.ndarray:
@@ -909,64 +1004,6 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-def grad_check(
-    f: Callable[[Sequence[Tensor]], Tensor],
-    inputs: Sequence[Tensor],
-    eps: float = 1e-5,
-    max_coords: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Compare analytic gradients of scalar ``f`` against central differences.
-
-    Inputs must be float64 leaves with ``requires_grad=True``. Returns the
-    maximum relative error over all checked coordinates, with the
-    denominator clamped at 1e-8 so agreeing zeros score zero. When
-    ``max_coords`` is set, a random subset of coordinates per input is
-    checked (needed for composite losses over whole parameter sets).
-    """
-    for t in inputs:
-        if t.data.dtype != np.float64:
-            raise ValueError("grad_check requires float64 inputs")
-        if not t.requires_grad:
-            raise ValueError("grad_check inputs must have requires_grad=True")
-        t.zero_grad()
-
-    loss = f(inputs)
-    backward(loss)
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs]
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    worst = 0.0
-    for t, ana in zip(inputs, analytic):
-        flat = t.data.reshape(-1)
-        n = flat.size
-        if max_coords is not None and n > max_coords:
-            coords = rng.choice(n, size=max_coords, replace=False)
-        else:
-            coords = range(n)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            f_plus = f(inputs).item()
-            flat[c] = orig - eps
-            f_minus = f(inputs).item()
-            flat[c] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = ana.reshape(-1)[c]
-            denom = max(abs(a), abs(numeric), 1e-8)
-            rel = abs(a - numeric) / denom
-            if rel > worst:
-                worst = rel
-    return worst
 
 
 def parameter(data, dtype=DEFAULT_DTYPE) -> Tensor:

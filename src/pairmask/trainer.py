@@ -540,12 +540,20 @@ def load_checkpoint(ckpt_dir, model: Model, opt: AdamW) -> int:
     ``ckpt_dir/checkpoint.bin``; returns the step.
 
     Nothing mutates until the whole file has passed its checks: the
-    crc32, the configs, the length, and every parameter's name, shape
-    and dtype against the model, mismatches reported together.
+    crc32, the config fields, every field of the saved configs against
+    ``model.cfg`` and ``opt.cfg``, every parameter's name, shape and dtype
+    against the model, and the length; the field and parameter
+    mismatches are reported together.
     """
     path, raw, header, offset = _read_checkpoint(ckpt_dir)
     dtype = np.dtype(header["dtype"])
     saved = {name: tuple(shape) for name, shape in header["params"]}
+    configs = [
+        f"{key}.{f.name}: checkpoint {getattr(cfg, f.name)!r} vs {getattr(ours, f.name)!r}"
+        for key, cfg, ours in (("model", header["model"], model.cfg), ("opt", header["opt"], opt.cfg))
+        for f in fields(cfg)
+        if getattr(cfg, f.name) != getattr(ours, f.name)
+    ]
     offenders = [f"{name}: not in model" for name in saved if name not in model.params]
     offenders += [f"{name}: missing from checkpoint" for name in model.params if name not in saved]
     for name in saved.keys() & model.params.keys():
@@ -555,8 +563,8 @@ def load_checkpoint(ckpt_dir, model: Model, opt: AdamW) -> int:
                 f"{name}: checkpoint {dtype.name}{list(saved[name])} vs model "
                 f"{data.dtype.name}{list(data.shape)}"
             )
-    if offenders:
-        raise ValueError("load_checkpoint: " + "; ".join(sorted(offenders)))
+    if configs or offenders:
+        raise ValueError("load_checkpoint: " + "; ".join(configs + sorted(offenders)))
     nbytes = 3 * sum(p.data.nbytes for p in model.params.values())
     if len(raw) - offset != nbytes:
         raise ValueError(f"{path}: holds {len(raw) - offset} array bytes, its header describes {nbytes}")

@@ -1,5 +1,5 @@
 """Reference operators for the tests, replaced in the program by fused
-or shorter paths.
+or shorter paths, and the finite-difference gradient check.
 
 The model builds attention as one fused ``autodiff.attention`` node. The
 primitive ``matmul`` and ``softmax`` it replaced are the reference that
@@ -10,14 +10,99 @@ from them. Each keeps its own gradient trials (c03 in
 ``patchify_t`` cut the reconstructed image back into patch rows for the
 reconstruction loss, before the decoder handed the loss its rows
 directly; ``tests/test_losses.py`` holds the rows path to that round
-trip. Nothing under ``src/`` imports this module.
+trip.
+
+``scipy_gelu_gate`` is the GELU gate through ``scipy.special.erf`` that
+the engine's rational float32 ``erf`` and stdlib float64 ``erf``
+replaced, and ``stacked_taps`` the ``np.stack`` of nine window slices
+that ``conv2d``'s one-buffer windows replaced; ``tests/test_autodiff.py``
+holds the engine to both.
+
+``grad_check`` compares an op's analytic gradients with central
+differences; only the tests call it. Nothing under ``src/`` imports
+this module.
 """
 
+import math
+from typing import Callable, Optional, Sequence
+
 import numpy as np
+from scipy.special import erf
 
 from pairmask import autodiff as ad
-from pairmask.autodiff import ShapeError, Tensor, _check_same_dtype, _make
+from pairmask.autodiff import ShapeError, Tensor, _check_same_dtype, _make, _offsets
 from pairmask.masking import _tile_axes
+
+
+def grad_check(
+    f: Callable[[Sequence[Tensor]], Tensor],
+    inputs: Sequence[Tensor],
+    eps: float = 1e-5,
+    max_coords: Optional[int] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> float:
+    """Compare analytic gradients of scalar ``f`` against central differences.
+
+    Inputs must be float64 leaves with ``requires_grad=True``. Returns the
+    maximum relative error over all checked coordinates, with the
+    denominator clamped at 1e-8 so agreeing zeros score zero. When
+    ``max_coords`` is set, a random subset of coordinates per input is
+    checked (needed for composite losses over whole parameter sets).
+    """
+    for t in inputs:
+        if t.data.dtype != np.float64:
+            raise ValueError("grad_check requires float64 inputs")
+        if not t.requires_grad:
+            raise ValueError("grad_check inputs must have requires_grad=True")
+        t.zero_grad()
+
+    loss = f(inputs)
+    ad.backward(loss)
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs]
+
+    if rng is None:
+        rng = np.random.default_rng(0)
+
+    worst = 0.0
+    for t, ana in zip(inputs, analytic):
+        flat = t.data.reshape(-1)
+        n = flat.size
+        if max_coords is not None and n > max_coords:
+            coords = rng.choice(n, size=max_coords, replace=False)
+        else:
+            coords = range(n)
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + eps
+            f_plus = f(inputs).item()
+            flat[c] = orig - eps
+            f_minus = f(inputs).item()
+            flat[c] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            a = ana.reshape(-1)[c]
+            denom = max(abs(a), abs(numeric), 1e-8)
+            rel = abs(a - numeric) / denom
+            if rel > worst:
+                worst = rel
+    return worst
+
+
+def scipy_gelu_gate(x: np.ndarray) -> np.ndarray:
+    """Phi(x), the standard normal CDF, through scipy's ``erf``."""
+    phi = x * (1.0 / math.sqrt(2.0))
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    return phi
+
+
+def stacked_taps(a: np.ndarray, flip: bool) -> np.ndarray:
+    """Zero-padded 3x3 windows of ``a`` (B, C, H, W), tap-major: (B, 9*C, H*W),
+    as nine slices of a padded copy stacked by ``np.stack``."""
+    b, c, h, w = a.shape
+    ap = np.zeros((b, c, h + 2, w + 2), dtype=a.dtype)
+    ap[..., 1 : h + 1, 1 : w + 1] = a
+    return np.stack([ap[..., i : i + h, j : j + w] for i, j in _offsets(flip)], axis=1).reshape(b, 9 * c, h * w)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

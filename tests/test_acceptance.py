@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from reference_ops import matmul, softmax
+from reference_ops import grad_check, matmul, softmax
 from scipy import stats as sps
 
 from pairmask import autodiff as ad
@@ -164,7 +164,7 @@ def _op_trial(name: str, rng: np.random.Generator) -> float:
     def sq(t):
         return ad.sum_all(ad.mul(t, t))
 
-    check = lambda f, inputs: ad.grad_check(f, inputs, max_coords=3, rng=rng)
+    check = lambda f, inputs: grad_check(f, inputs, max_coords=3, rng=rng)
 
     if name in ("add", "sub", "mul"):
         # "sub" is a - b as add(a, scale(b, -1)); the trial keeps its slot
@@ -353,8 +353,8 @@ def test_c03_gradient_correctness(capsys):
         # Composite losses are O(1) while many parameter gradients sit
         # near 1e-10; a 1e-5 step leaves the central difference below
         # float64 round-off, so the composite sweep widens eps to 1e-3.
-        err = ad.grad_check(f, inputs, eps=1e-3, max_coords=2,
-                            rng=np.random.default_rng([33, t]))
+        err = grad_check(f, inputs, eps=1e-3, max_coords=2,
+                         rng=np.random.default_rng([33, t]))
         worst_comp = max(worst_comp, err)
 
     ok = worst_op_err < tol and worst_comp < tol

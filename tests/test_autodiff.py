@@ -6,13 +6,14 @@ relative. Shape and graph-misuse errors are checked separately.
 """
 
 import ast
+import functools
 import inspect
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_ops import matmul, softmax
+from reference_ops import grad_check, matmul, scipy_gelu_gate, softmax, stacked_taps
 
 from pairmask import autodiff as ad
 
@@ -25,7 +26,7 @@ def t64(rng, *shape, lo=-1.0, hi=1.0):
 
 
 def check(f, inputs, rtol=RTOL):
-    err = ad.grad_check(f, inputs, eps=EPS)
+    err = grad_check(f, inputs, eps=EPS)
     assert err < rtol, f"max relative error {err:.3e}"
 
 
@@ -640,8 +641,9 @@ class TestScattersAndGeluBitExact:
 CONTRACT_TOL = {np.dtype(np.float32): 2e-6, np.dtype(np.float64): 1e-10}
 
 
-def _assert_within_contract(got, want):
-    for name, a, b in zip(("forward", "vjp x", "vjp w", "vjp b"), got, want):
+def _assert_within_contract(got, want, names=("forward", "vjp x", "vjp w", "vjp b")):
+    assert len(got) == len(want) <= len(names)
+    for name, a, b in zip(names, got, want):
         assert a.shape == b.shape and a.dtype == b.dtype, name
         err = np.abs(a - b).max() / np.abs(b).max()
         assert err <= CONTRACT_TOL[b.dtype], f"{name}: {err:.2e} of scale"
@@ -770,14 +772,154 @@ class TestConvAndBilinearContract:
 
 
 # ---------------------------------------------------------------------------
+# row reductions, the GELU gate and conv2d's windows: numpy's reduce,
+# scipy's erf and stacked slices as references
+# ---------------------------------------------------------------------------
+
+ROW_LENGTHS = [1, 2, 5, 16, 40, 61]
+
+
+def _numpy_layer_normalize(x, gain, bias, g, eps=1e-5):
+    """``layer_normalize`` with numpy's ``mean`` and ``sum`` over the rows:
+    output and the vjps of x, gain and bias for ``g``."""
+    n = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    d = x - mu
+    inv = 1.0 / np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)
+    dxhat = g * gain
+    dvar = (dxhat * d).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+    dmu = -(dxhat.sum(axis=-1, keepdims=True)) * inv
+    gx = dxhat * inv + dvar * (2.0 / n) * d + dmu / n
+    rows = g.reshape(-1, n)
+    return gain * (d * inv) + bias, gx, ((d * inv).reshape(-1, n) * rows).sum(axis=0), rows.sum(axis=0)
+
+
+class TestRowKernelsAndGate:
+    """The engine's row max and row sum against numpy's reduce, its GELU
+    gate against scipy's ``erf`` and its conv windows against stacked
+    slices. The max and the windows are bit-equal; the sums round
+    differently and are held to ``CONTRACT_TOL``, and the gate to stated
+    bounds. Each op that takes them keeps a float64 finite-difference
+    check."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", ROW_LENGTHS)
+    def test_max_last_equals_np_max(self, n, dtype):
+        rng = np.random.default_rng(80 + n)
+        a = rng.normal(size=(3, 4, n)).astype(dtype)
+        a[0, 1, n // 2] = np.nan
+        a[1, 2] = -np.inf
+        a[2, 0, -1] = np.inf
+        got = ad._max_last(a)
+        assert got.shape == (3, 4, 1) and got.dtype == a.dtype
+        assert np.array_equal(got, a.max(axis=-1, keepdims=True), equal_nan=True)
+        assert np.isnan(got[0, 1, 0]) and not np.may_share_memory(got, a)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", ROW_LENGTHS)
+    def test_sum_last_within_contract_and_sample_alone_equals_batch(self, n, dtype):
+        rng = np.random.default_rng(90 + n)
+        a = rng.normal(size=(5, 4, 7, n)).astype(dtype)
+        got = ad._sum_last(a)
+        want = a.sum(axis=-1, keepdims=True)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max() <= CONTRACT_TOL[np.dtype(dtype)] * np.abs(want).max()
+        for i in range(5):
+            assert np.array_equal(ad._sum_last(a[i]), got[i])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 6), (3, 7, 32), (2, 3, 5, 61)])
+    def test_layer_normalize_against_numpy_mean(self, shape, dtype):
+        rng = np.random.default_rng(95)
+        x = rng.normal(1.0, 2.0, size=shape).astype(dtype)
+        gain, bias = (rng.normal(size=shape[-1:]).astype(dtype) for _ in range(2))
+        g = rng.normal(size=shape).astype(dtype)
+        leaves = [ad.parameter(a, dtype=dtype) for a in (x, gain, bias)]
+        out = ad.layer_normalize(*leaves)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g, dtype=dtype))))
+        got = [out.data] + [t.grad for t in leaves]
+        want = _numpy_layer_normalize(x, gain, bias, g)
+        _assert_within_contract(got, want, ("forward", "vjp x", "vjp gain", "vjp bias"))
+
+    def test_gelu_gate_float32_against_scipy(self):
+        x = np.concatenate([
+            np.linspace(-6.0, 6.0, 240_001, dtype=np.float32),
+            np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32),
+        ])
+        got, want = ad._gelu_gate(x), scipy_gelu_gate(x)
+        assert got.dtype == np.float32
+        assert np.array_equal(got[-5:], [0.5, 0.5, 1.0, 0.0, np.nan], equal_nan=True)
+        assert np.abs(got[:-1] - want[:-1]).max() <= 1e-6
+
+    def test_gelu_gate_float64_against_scipy(self):
+        rng = np.random.default_rng(96)
+        x = np.concatenate([rng.normal(scale=3.0, size=16_384), np.linspace(-40.0, 40.0, 8_001)])
+        got, want = ad._gelu_gate(x), scipy_gelu_gate(x)
+        # 2 ulp at the gate's scale of 1/2 (1 + erf rounds at that scale)
+        assert got.dtype == np.float64 and np.abs(got - want).max() <= 2 * np.spacing(0.5)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        assert np.array_equal(ad._gelu_gate(special), [0.5, 0.5, 1.0, 0.0, np.nan], equal_nan=True)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 1, 1, 1), (3, 2, 1, 4), (2, 4, 6, 1), (8, 1, 16, 16)])
+    def test_taps_equal_stacked_slices(self, shape, flip):
+        a = _order_sensitive(np.random.default_rng(97), shape)
+        assert np.array_equal(ad._taps(a, flip), stacked_taps(a, flip))
+
+    def test_gelu_gradcheck_over_the_gate_range(self):
+        rng = np.random.default_rng(98)
+        # below about -4.5 the gradient is near 1e-8 and the central
+        # difference's round-off, not the gate, sets the relative error
+        x = t64(rng, 2, 3, 8, lo=-4.5, hi=6.0)
+        w = ad.constant(rng.normal(size=(2, 3, 8)), dtype=np.float64)
+        check(lambda ts: ad.sum_all(ad.mul(ad.gelu(ts[0]), w)), [x])
+
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    def test_layer_normalize_gradcheck_batched(self, n):
+        rng = np.random.default_rng(99)
+        x, g, b = t64(rng, 2, 3, n, lo=-3.0, hi=3.0), t64(rng, n, lo=0.5, hi=1.5), t64(rng, n)
+        w = ad.constant(rng.normal(size=(2, 3, n)), dtype=np.float64)
+        check(lambda ts: ad.sum_all(ad.mul(ad.layer_normalize(ts[0], ts[1], ts[2]), w)), [x, g, b])
+
+    @pytest.mark.parametrize("lk", [1, 7])
+    def test_attention_gradcheck_odd_rows(self, lk):
+        # one key (a single-column max) and seven (folded odd columns)
+        rng = np.random.default_rng(100)
+        query, kv = t64(rng, 2, 3, 4), t64(rng, 2, lk, 4)
+        weights = [t64(rng, 4, 4) if i % 2 == 0 else t64(rng, 4) for i in range(8)]
+        target = ad.constant(rng.normal(size=(2, 3, 4)), dtype=np.float64)
+
+        def f(_):
+            return ad.sum_all(ad.mul(ad.attention(query, kv, *weights, heads=2), target))
+
+        # bk's true gradient is 0; see TestGradients.test_attention
+        check(f, [query, kv] + [w for i, w in enumerate(weights) if i != 3])
+
+
+# ---------------------------------------------------------------------------
 # attention and conv2d backward from saved or shared arrays, against the
 # recomputing and unshared forms they replaced, bit for bit
 # ---------------------------------------------------------------------------
 
 
-def _recompute_attention(query, kv, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+def _numpy_max_last(a):
+    return a.max(axis=-1, keepdims=True)
+
+
+def _numpy_sum_last(a):
+    return a.sum(axis=-1, keepdims=True)
+
+
+# the row reductions attention takes: the engine's, and numpy's reduce
+# that they replaced
+REDUCTIONS = {"engine": (ad._max_last, ad._sum_last), "numpy": (_numpy_max_last, _numpy_sum_last)}
+
+
+def _recompute_attention(query, kv, wq, bq, wk, bk, wv, bv, wo, bo, heads, reductions="engine"):
     """The attention node whose vjp recomputed the projections, the
-    probabilities (from the saved row max and row sum) and the context."""
+    probabilities (from the saved row max and row sum) and the context,
+    with the given row reductions."""
+    max_last, sum_last = REDUCTIONS[reductions]
     weights = {"wq": wq, "bq": bq, "wk": wk, "bk": bk, "wv": wv, "bv": bv, "wo": wo, "bo": bo}
     d = query.shape[-1]
     lead, lq, hd = query.shape[:-2], query.shape[-2], d // heads
@@ -793,10 +935,10 @@ def _recompute_attention(query, kv, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     qh, kh, vh = project(query.data, wq, bq), project(kv.data, wk, bk), project(kv.data, wv, bv)
     probs = qh @ kh.swapaxes(-1, -2)
     probs *= scale
-    row_max = probs.max(axis=-1, keepdims=True)
+    row_max = max_last(probs)
     probs -= row_max
     np.exp(probs, out=probs)
-    row_sum = probs.sum(axis=-1, keepdims=True)
+    row_sum = sum_last(probs)
     probs /= row_sum
     data = join(probs @ vh) @ wo.data + bo.data
 
@@ -806,7 +948,7 @@ def _recompute_attention(query, kv, wq, bq, wk, bk, wv, bv, wo, bo, heads):
         ctx = join(probs @ vh)
         gctx = (g @ wo.data.T).reshape(lead + (lq, heads, hd)).swapaxes(-3, -2)
         gp = gctx @ vh.swapaxes(-1, -2)
-        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+        gs = probs * (gp - sum_last(gp * probs)) * scale
         out = {"wo": ad._weight_grad(ctx, g), "bo": ad._row_sum(g)}
         dx = {}
         for tag, x, gh in (
@@ -846,12 +988,16 @@ def _unshared_conv_vjps(x, w, g):
     return gx, gw
 
 
+ATTENTION_WEIGHTS = ["wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
+
+
 class TestSavedForwardBitExact:
     """``attention``'s vjp reads the probabilities and context its forward
     built instead of recomputing them, and ``conv2d`` builds the flipped
     windows of ``g`` once for both vjps; outputs and every gradient equal
     the replaced forms bit for bit, and the saved arrays do not outlive
-    the backward."""
+    the backward. With numpy's row reductions, which round differently
+    from the engine's, the recomputing node is held to ``CONTRACT_TOL``."""
 
     @staticmethod
     def _attention_run(op, lead, lq, lk, heads, self_attention, dtype):
@@ -868,13 +1014,26 @@ class TestSavedForwardBitExact:
         leaves = [query] + ([] if self_attention else [kv]) + weights
         return [out.data] + [t.grad for t in leaves]
 
+    @pytest.mark.parametrize("reductions", list(REDUCTIONS))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
     @pytest.mark.parametrize("lq, lk, self_attention", [(5, 5, True), (4, 7, False)], ids=["self", "cross"])
-    def test_attention_equals_recomputing_node(self, lq, lk, self_attention, lead, heads, dtype):
+    def test_attention_equals_recomputing_node(self, lq, lk, self_attention, lead, heads, dtype, reductions):
         got = self._attention_run(ad.attention, lead, lq, lk, heads, self_attention, dtype)
-        want = self._attention_run(_recompute_attention, lead, lq, lk, heads, self_attention, dtype)
+        reference = functools.partial(_recompute_attention, reductions=reductions)
+        want = self._attention_run(reference, lead, lq, lk, heads, self_attention, dtype)
+        if reductions == "numpy":
+            names = ["forward", "query"] + ([] if self_attention else ["kv"]) + ATTENTION_WEIGHTS
+            # bk's true gradient is 0 (the softmax cancels a shift shared by
+            # all keys), so both sides return round-off around it; it is held
+            # to the contract at the scale of wk's gradient
+            bk, wk = names.index("bk"), names.index("wk")
+            err = np.abs(got[bk] - want[bk]).max() / np.abs(want[wk]).max()
+            assert err <= CONTRACT_TOL[np.dtype(dtype)], f"bk: {err:.2e} of wk's scale"
+            del got[bk], want[bk], names[bk]
+            _assert_within_contract(got, want, names)
+            return
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_ops import patchify_t
+from reference_ops import grad_check, patchify_t
 
 import pairmask.autodiff as ad
 from pairmask.losses import (
@@ -129,7 +129,7 @@ def test_mim_gradient_check():
     rows = ad.parameter(patchify(rng.normal(size=(1, 8, 8)), 4), dtype=np.float64)
     target = rng.normal(size=(1, 8, 8))
     plan = PatchMaskPlan(masked=(1, 2, 3), visible=(0,), n_patches=4)
-    err = ad.grad_check(lambda _: loss_mim(rows, target, [plan], patch=4), [rows])
+    err = grad_check(lambda _: loss_mim(rows, target, [plan], patch=4), [rows])
     assert err < 1e-6
 
 
@@ -237,7 +237,7 @@ def test_mlm_gradient_check():
     logits = ad.parameter(rng.normal(size=(1, 6, 8)), dtype=np.float64)
     targets = rng.integers(0, 8, size=(1, 6))
     factors = compute_rebalance(n_neg=40, n_oth=2)
-    err = ad.grad_check(lambda _: loss_mlm(logits, targets, [make_plan()], factors), [logits])
+    err = grad_check(lambda _: loss_mlm(logits, targets, [make_plan()], factors), [logits])
     assert err < 1e-6
 
 
@@ -296,7 +296,7 @@ def test_sr_gradient_check():
     out = ad.parameter(rng.normal(size=(4, 4)), dtype=np.float64)
     target = rng.normal(size=(4, 4))
     attn = rng.random((4, 4))
-    err = ad.grad_check(lambda _: loss_sr(out, target, attn), [out])
+    err = grad_check(lambda _: loss_sr(out, target, attn), [out])
     assert err < 1e-6
 
 

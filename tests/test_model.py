@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from reference_ops import matmul, softmax
+from reference_ops import grad_check, matmul, softmax
+from test_autodiff import CONTRACT_TOL
 
 import pairmask.autodiff as ad
 from pairmask.corpus import MASK_ID
@@ -387,7 +388,11 @@ def test_fused_attention_matches_unfused_reference(lq, lk, self_attention):
         outputs[path] = out.data
         grads[path] = {name: t.grad for name, t in m.params.items() if name.startswith("enc.0.attn.")}
         grads[path]["query"], grads[path]["kv"] = query.grad, kv.grad
-    assert np.array_equal(outputs["fused"], outputs["reference"])
+    # the fused node reduces rows with the engine's kernels, the reference
+    # softmax with numpy's reduce; they round differently
+    want = outputs["reference"]
+    err = np.abs(outputs["fused"] - want).max() / np.abs(want).max()
+    assert err <= CONTRACT_TOL[want.dtype], f"forward: {err:.2e} of scale"
     assert_grads_match(grads["fused"], grads["reference"])
 
 
@@ -458,5 +463,5 @@ def test_composite_gradient_check():
     # eps balances truncation against round-off: the loss is O(1) while
     # some attention-weight gradients are ~1e-10 at init, so 1e-5 steps
     # drown the difference quotient in float64 noise
-    err = ad.grad_check(f, checked, eps=1e-3, max_coords=4, rng=np.random.default_rng(13))
+    err = grad_check(f, checked, eps=1e-3, max_coords=4, rng=np.random.default_rng(13))
     assert err < 1e-4

@@ -710,6 +710,31 @@ def test_checkpoint_config_fields_must_match(tmp_path, key, edit, named):
         load_checkpoint(tmp_path, fresh, AdamW(fresh.params))
 
 
+def test_load_refuses_configs_other_than_the_model_and_optimizer(tmp_path):
+    # a library caller's model and optimizer must match the saved configs;
+    # one error names every differing field, and nothing is restored
+    model = Model(TINY_MODEL, seed=0)
+    save_checkpoint(tmp_path, model, AdamW(model.params, OptimizerConfig(lr=1e-3)), step=4)
+    masked = dataclasses.replace(TINY_MODEL, patch_mask_ratio=0.75)
+    ratio, lr = "model.patch_mask_ratio: checkpoint 0.5 vs 0.75", "opt.lr: checkpoint 0.001 vs 0.0015"
+    cases = [
+        (masked, OptimizerConfig(), [ratio, lr]),
+        (masked, OptimizerConfig(lr=1e-3), [ratio]),
+        (TINY_MODEL, OptimizerConfig(), [lr]),
+        (TINY_MODEL, OptimizerConfig(lr=1e-3, weight_decay=0.0), ["opt.weight_decay: checkpoint 0.05 vs 0.0"]),
+    ]
+    for cfg, ocfg, named in cases:
+        target = Model(cfg, seed=1)
+        opt = AdamW(target.params, ocfg)
+        before = _state(target, opt)
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(tmp_path, target, opt)
+        assert str(exc.value) == "load_checkpoint: " + "; ".join(named)
+        assert opt.t == 0 and all(np.array_equal(a, b) for a, b in zip(_state(target, opt), before))
+    target = Model(TINY_MODEL, seed=1)
+    assert load_checkpoint(tmp_path, target, AdamW(target.params, OptimizerConfig(lr=1e-3))) == 4
+
+
 def test_load_rejects_shape_mismatch_listing_names(tmp_path):
     samples, data, model = small_world(n=4)
     opt = AdamW(model.params)
@@ -911,15 +936,20 @@ def test_linear_probe_shuffle_is_the_same_in_every_process():
 
 
 def test_scipy_optimize_loads_only_for_the_probe():
-    # both imports are deferred to their one caller; at module level they
-    # add to every process's start-up time and peak memory. scipy.ndimage
-    # is not needed at all: generating a corpus must not load it
+    # scipy.optimize and urllib.request are deferred to their one caller;
+    # at module level they add to every process's start-up time and peak
+    # memory. Nothing else needs scipy: importing the CLI, generating a
+    # corpus and extracting features must load no scipy module at all
     code = ("import sys, pairmask.cli, pairmask.trainer; "
-            "print('scipy.optimize' in sys.modules, 'urllib.request' in sys.modules); "
+            "print('urllib.request' in sys.modules); "
+            "from pairmask.model import Model, ModelConfig; "
             "from pairmask.synthgen import SynthSpec, gen_dataset; "
-            "gen_dataset(SynthSpec(canvas=32, p_positive=0.5, seed=0), 4); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))")
-    assert _run_python(code).split("\n") == ["False False", "[]", ""]
+            "samples = gen_dataset(SynthSpec(canvas=32, p_positive=0.5, seed=0), 4); "
+            "cfg = ModelConfig(image_size=16, patch=8, dim=8, encoder_depth=1, decoder_depth=1, "
+            "text_decoder_depth=1, heads=2, max_text_len=16, vocab_size=16, sr_channels=2); "
+            "print(pairmask.trainer.extract_features(Model(cfg, seed=0), samples).shape); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code).split("\n") == ["False", "(4, 8)", "[]", ""]
 
 
 def test_linear_probe_skips_single_class_entities():
