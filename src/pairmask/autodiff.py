@@ -23,9 +23,9 @@ GELU's gate Phi(x) = (1 + erf(x / sqrt(2))) / 2 takes a float32 rational
 ``erf`` (Eigen's ``generic_fast_erf_float``: the argument clamped to
 [-4, 4], then ``u P(u^2) / Q(u^2)``, within 4.4e-7 of the float64
 ``erf``) in numpy passes, and at float64 the stdlib's ``math.erf`` per
-element. Moving from ``scipy.special.erf`` changed rounding once. numpy's
-``sum``, ``mean`` and scipy's ``erf`` stay in the tests as references,
-held to a stated tolerance.
+element. Moving to these from a library ``erf`` changed rounding once.
+That ``erf`` and numpy's ``sum`` and ``mean`` stay in the tests as
+references, held to a stated tolerance.
 
 Two fused operators keep graphs small. ``linear`` is ``x @ w + b`` as one
 node, and ``attention`` is a whole multi-head attention (four

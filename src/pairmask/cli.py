@@ -33,13 +33,13 @@ from .trainer import (
     OptimizerConfig,
     TrainConfig,
     TrainingError,
-    checkpoint_configs,
     eval_descriptor_accuracy,
     extract_features,
     linear_probe,
-    load_checkpoint,
     prepare_training_data,
     pretrain,
+    read_checkpoint,
+    restore_checkpoint,
     save_checkpoint,
 )
 
@@ -163,7 +163,8 @@ def cmd_pretrain(args) -> int:
     if args.resume:
         if args.config:
             raise ValueError("--config cannot be combined with --resume; the checkpoint fixes the configuration")
-        mcfg, ocfg = checkpoint_configs(args.resume)
+        ckpt = read_checkpoint(args.resume)
+        mcfg, ocfg = ckpt.header["model"], ckpt.header["opt"]
         fit_vocab = False
     else:
         model_overrides: dict = {}
@@ -198,7 +199,8 @@ def cmd_pretrain(args) -> int:
     opt = AdamW(model.params, ocfg)
     start_step = 0
     if args.resume:
-        start_step = load_checkpoint(args.resume, model, opt)
+        start_step = restore_checkpoint(ckpt, model, opt)
+        del ckpt  # the file's bytes, held no longer than the restore
         print(f"resumed from {args.resume} at step {start_step}")
 
     attention = ModelAttention(model, data.vocab) if args.attention == "model" else None
@@ -239,9 +241,11 @@ def cmd_pretrain(args) -> int:
 
 def cmd_probe(args) -> int:
     samples = load_dataset(args.data)
-    mcfg, ocfg = checkpoint_configs(args.ckpt)
+    ckpt = read_checkpoint(args.ckpt)
+    mcfg = ckpt.header["model"]
     model = Model(mcfg, seed=0)
-    load_checkpoint(args.ckpt, model, AdamW(model.params, ocfg))
+    restore_checkpoint(ckpt, model, AdamW(model.params, ckpt.header["opt"]))
+    del ckpt  # the file's bytes, held no longer than the restore
 
     entities = sorted({e for s in samples for e in s.labels})
     feats = extract_features(model, samples)

@@ -509,9 +509,21 @@ def save_checkpoint(ckpt_dir, model: Model, opt: AdamW, step: int) -> None:
     os.replace(tmp, path)
 
 
-def _read_checkpoint(ckpt_dir) -> tuple:
-    """Read ``checkpoint.bin`` once and check its crc32 and configs; returns
-    the path, the bytes, the header with its configs built, and the offset of the arrays."""
+@dataclass(frozen=True)
+class Checkpoint:
+    """A ``checkpoint.bin`` read once, its crc32 and config fields checked:
+    its header, with ``header["model"]`` and ``header["opt"]`` built into
+    a ``ModelConfig`` and an ``OptimizerConfig``, and the bytes to restore
+    from."""
+
+    path: Path
+    header: dict
+    arrays: memoryview  # the file's bytes after the header
+
+
+def read_checkpoint(ckpt_dir) -> Checkpoint:
+    """Read ``ckpt_dir/checkpoint.bin`` and check its crc32 and the fields
+    of its configs; ``restore_checkpoint`` applies it to a model."""
     path = Path(ckpt_dir) / CHECKPOINT_FILE
     raw = path.read_bytes()
     start = raw.find(b"\n") + 1
@@ -526,18 +538,18 @@ def _read_checkpoint(ckpt_dir) -> tuple:
         if unknown or missing:
             raise ValueError(f"{path}: {key} config fields do not match: unknown {unknown}, missing {missing}")
         header[key] = cls(**header[key])
-    return path, raw, header, end
-
-
-def checkpoint_configs(ckpt_dir) -> tuple:
-    """The ``ModelConfig`` and ``OptimizerConfig`` a checkpoint was saved with."""
-    _, _, header, _ = _read_checkpoint(ckpt_dir)
-    return header["model"], header["opt"]
+    return Checkpoint(path, header, memoryview(raw)[end:])
 
 
 def load_checkpoint(ckpt_dir, model: Model, opt: AdamW) -> int:
     """Restore params and optimizer state in place from
-    ``ckpt_dir/checkpoint.bin``; returns the step.
+    ``ckpt_dir/checkpoint.bin``; returns the step."""
+    return restore_checkpoint(read_checkpoint(ckpt_dir), model, opt)
+
+
+def restore_checkpoint(ckpt: Checkpoint, model: Model, opt: AdamW) -> int:
+    """Restore params and optimizer state in place from a read checkpoint;
+    returns the step.
 
     Nothing mutates until the whole file has passed its checks: the
     crc32, the config fields, every field of the saved configs against
@@ -545,14 +557,14 @@ def load_checkpoint(ckpt_dir, model: Model, opt: AdamW) -> int:
     against the model, and the length; the field and parameter
     mismatches are reported together.
     """
-    path, raw, header, offset = _read_checkpoint(ckpt_dir)
+    header = ckpt.header
     dtype = np.dtype(header["dtype"])
     saved = {name: tuple(shape) for name, shape in header["params"]}
     configs = [
-        f"{key}.{f.name}: checkpoint {getattr(cfg, f.name)!r} vs {getattr(ours, f.name)!r}"
-        for key, cfg, ours in (("model", header["model"], model.cfg), ("opt", header["opt"], opt.cfg))
-        for f in fields(cfg)
-        if getattr(cfg, f.name) != getattr(ours, f.name)
+        f"{key}.{f.name}: checkpoint {getattr(header[key], f.name)!r} vs {getattr(ours, f.name)!r}"
+        for key, ours in (("model", model.cfg), ("opt", opt.cfg))
+        for f in fields(ours)
+        if getattr(header[key], f.name) != getattr(ours, f.name)
     ]
     offenders = [f"{name}: not in model" for name in saved if name not in model.params]
     offenders += [f"{name}: missing from checkpoint" for name in model.params if name not in saved]
@@ -566,11 +578,11 @@ def load_checkpoint(ckpt_dir, model: Model, opt: AdamW) -> int:
     if configs or offenders:
         raise ValueError("load_checkpoint: " + "; ".join(configs + sorted(offenders)))
     nbytes = 3 * sum(p.data.nbytes for p in model.params.values())
-    if len(raw) - offset != nbytes:
-        raise ValueError(f"{path}: holds {len(raw) - offset} array bytes, its header describes {nbytes}")
+    if len(ckpt.arrays) != nbytes:
+        raise ValueError(f"{ckpt.path}: holds {len(ckpt.arrays)} array bytes, its header describes {nbytes}")
 
     # read-only views of the file's bytes, rows params, m and v, until the copies below
-    stored = np.frombuffer(raw, dtype=dtype.newbyteorder("<"), offset=offset).reshape(3, -1)
+    stored = np.frombuffer(ckpt.arrays, dtype=dtype.newbyteorder("<")).reshape(3, -1)
     at = 0
     for name in saved:
         p = model.params[name]
@@ -654,27 +666,50 @@ def extract_features(model: Model, samples: Sequence[SynthSample]) -> np.ndarray
     return np.concatenate(rows)
 
 
-def _fit_logistic(x: np.ndarray, y: np.ndarray, l2: float = 1e-3) -> np.ndarray:
-    """L2-regularized logistic regression via L-BFGS; returns [w, b]."""
-    # imported here: scipy.optimize costs every process about 0.3 s and
-    # 20 MB of memory at import, and only the probe uses it
-    from scipy.optimize import minimize
+# the probe's Newton solve: step cap, halvings per step, and the
+# max |gradient| at which a fit has converged
+NEWTON_STEPS = 50
+NEWTON_HALVINGS = 30
+NEWTON_TOL = 1e-10
 
+
+def _fit_logistic(x: np.ndarray, y: np.ndarray, l2: float = 1e-3) -> np.ndarray:
+    """L2-regularized logistic regression by damped Newton steps; returns [w, b].
+
+    Minimizes the mean log-loss plus ``0.5 * l2 * |w|^2``; the bias is not
+    regularized. Each step solves the ``(d+1, d+1)`` Newton system once and
+    is halved until the objective does not rise. Raises ValueError when
+    max |gradient| is not below ``NEWTON_TOL`` within ``NEWTON_STEPS``.
+    """
     n, d = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
+    ridge = np.r_[np.full(d, l2), 0.0]
 
     def objective(wb):
         z = xb @ wb
-        # log(1 + exp(-y z)) with the stable split by sign
-        m = np.maximum(0.0, -z)
-        nll = (1.0 - y) * z + m + np.log(np.exp(-m) + np.exp(-z - m))
-        reg = 0.5 * l2 * (wb[:d] @ wb[:d])
-        p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-        grad = xb.T @ (p - y) / n + l2 * np.r_[wb[:d], 0.0]
-        return nll.mean() + reg, grad
+        # log(1 + exp(-z)) is logaddexp(0, -z), stable for either sign
+        return np.mean((1.0 - y) * z + np.logaddexp(0.0, -z)) + 0.5 * l2 * (wb[:d] @ wb[:d]), z
 
-    res = minimize(objective, np.zeros(d + 1), jac=True, method="L-BFGS-B")
-    return res.x
+    wb = np.zeros(d + 1)
+    f, z = objective(wb)
+    for k in range(NEWTON_STEPS + 1):
+        p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+        grad = xb.T @ (p - y) / n + ridge * wb
+        if np.abs(grad).max() < NEWTON_TOL:
+            return wb
+        if k == NEWTON_STEPS:
+            break
+        step = np.linalg.solve((xb.T * (p * (1.0 - p))) @ xb / n + np.diag(ridge), grad)
+        for _ in range(NEWTON_HALVINGS):
+            f_new, z_new = objective(wb - step)
+            # a rise within the objective's own rounding does not count
+            if f_new <= f + 64 * np.spacing(f):
+                break
+            step *= 0.5
+        else:
+            break
+        wb, f, z = wb - step, f_new, z_new
+    raise ValueError(f"no fit: max |gradient| {np.abs(grad).max():.3g} after {k} Newton steps, not below {NEWTON_TOL:g}")
 
 
 @dataclass
@@ -700,8 +735,14 @@ def linear_probe(
     labels before splitting, the no-signal control.
     """
     n = len(samples)
+    if features.ndim != 2:
+        raise ValueError(f"linear_probe: features must be 2-D (samples, dims), got shape {features.shape}")
     if features.shape[0] != n:
         raise ValueError("linear_probe: features misaligned with samples")
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"linear_probe: features[{row}, {col}] is {features[row, col]}, not finite")
     if not 0.0 < train_frac < 1.0:
         raise ValueError(f"linear_probe: train_frac {train_frac} is outside (0, 1)")
     rng = np.random.default_rng([seed, STREAM_PROBE])
@@ -725,7 +766,10 @@ def linear_probe(
         sd = features[train_idx].std(axis=0) + 1e-8
         x_tr = (features[train_idx] - mu) / sd
         x_te = (features[test_idx] - mu) / sd
-        wb = _fit_logistic(x_tr, y_tr)
+        try:
+            wb = _fit_logistic(x_tr, y_tr)
+        except ValueError as exc:
+            raise ValueError(f"linear_probe: entity {entity!r}: {exc}") from exc
         pred = (np.hstack([x_te, np.ones((len(x_te), 1))]) @ wb) > 0
         per_entity[entity] = float((pred == y_te.astype(bool)).mean())
 

@@ -18,6 +18,11 @@ replaced, and ``stacked_taps`` the ``np.stack`` of nine window slices
 that ``conv2d``'s one-buffer windows replaced; ``tests/test_autodiff.py``
 holds the engine to both.
 
+``lbfgs_fit_logistic`` is the linear probe's fit through scipy's
+L-BFGS that the engine's damped Newton solve replaced;
+``tests/test_trainer.py`` holds the solve to its objective and its
+per-entity accuracies.
+
 ``grad_check`` compares an op's analytic gradients with central
 differences; only the tests call it. Nothing under ``src/`` imports
 this module.
@@ -27,6 +32,7 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import erf
 
 from pairmask import autodiff as ad
@@ -149,3 +155,22 @@ def patchify_t(image: ad.Tensor, patch: int) -> ad.Tensor:
     gh, gw = h // patch, w // patch
     tiles = ad.transpose(ad.reshape(image, (*lead, gh, patch, gw, patch)), _tile_axes(len(lead)))
     return ad.reshape(tiles, (*lead, gh * gw, patch * patch))
+
+
+def lbfgs_fit_logistic(x: np.ndarray, y: np.ndarray, l2: float = 1e-3) -> np.ndarray:
+    """L2-regularized logistic regression via L-BFGS; returns [w, b]."""
+    n, d = x.shape
+    xb = np.hstack([x, np.ones((n, 1))])
+
+    def objective(wb):
+        z = xb @ wb
+        # log(1 + exp(-y z)) with the stable split by sign
+        m = np.maximum(0.0, -z)
+        nll = (1.0 - y) * z + m + np.log(np.exp(-m) + np.exp(-z - m))
+        reg = 0.5 * l2 * (wb[:d] @ wb[:d])
+        p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+        grad = xb.T @ (p - y) / n + l2 * np.r_[wb[:d], 0.0]
+        return nll.mean() + reg, grad
+
+    res = minimize(objective, np.zeros(d + 1), jac=True, method="L-BFGS-B")
+    return res.x

@@ -1,13 +1,14 @@
 """End-to-end command tests through main(argv); no subprocesses."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from pairmask.cli import main, parse_config_overrides
 from pairmask.model import Model
 from pairmask.synthgen import load_dataset
-from pairmask.trainer import AdamW, checkpoint_configs, load_checkpoint
+from pairmask.trainer import AdamW, load_checkpoint, read_checkpoint
 
 SMALL_MODEL = [
     "--config", "dim=16",
@@ -107,9 +108,9 @@ def test_pretrain_resume_refuses_to_go_backwards(corpus_dir, tmp_path, capsys):
     assert not later.exists()
     # resuming at the last step is a no-op that rewrites the same step
     assert main([*args, "--steps", "3", "--resume", str(ckpt), "--ckpt-dir", str(later)]) == 0
-    mcfg, ocfg = checkpoint_configs(later)
-    model = Model(mcfg)
-    opt = AdamW(model.params, ocfg)
+    saved = read_checkpoint(later)
+    model = Model(saved.header["model"])
+    opt = AdamW(model.params, saved.header["opt"])
     assert load_checkpoint(later, model, opt) == 3
     assert opt.t == 3
 
@@ -171,6 +172,31 @@ def test_damaged_checkpoint_is_a_one_line_error(corpus_dir, tmp_path, capsys, co
         assert err.startswith("error: ") and err.count("\n") == 1, (kind, err)
         assert str(damaged / "checkpoint.bin") in err, (kind, err)
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["probe", "resume"])
+def test_a_command_reads_its_checkpoint_once(corpus_dir, tmp_path, capsys, monkeypatch, command):
+    ckpt = tmp_path / "ckpt"
+    assert main([
+        "pretrain", "--data", str(corpus_dir), "--steps", "1", "--batch-size", "2",
+        "--log-every", "0", "--ckpt-dir", str(ckpt), *SMALL_MODEL,
+    ]) == 0
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counted(self):
+        if self.name == "checkpoint.bin":
+            reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    if command == "probe":
+        argv = ["probe", "--data", str(corpus_dir), "--ckpt", str(ckpt)]
+    else:
+        argv = ["pretrain", "--data", str(corpus_dir), "--steps", "2", "--batch-size", "2",
+                "--log-every", "0", "--resume", str(ckpt)]
+    assert main(argv) == 0
+    assert reads == [ckpt / "checkpoint.bin"]
 
 
 def test_pretrain_resume_rejects_config_overrides(corpus_dir, tmp_path, capsys):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairmask.autodiff as ad
+import pairmask.trainer as trainer
 from pairmask.corpus import (
     DEFAULT_BETA,
     DEFAULT_ENTITY_LEXICON,
@@ -40,6 +41,7 @@ from pairmask.synthgen import (
 )
 from pairmask.trainer import (
     EVAL_CHUNK,
+    NEWTON_TOL,
     STREAM_EVAL,
     STREAM_IMAGE,
     STREAM_TEXT,
@@ -48,17 +50,19 @@ from pairmask.trainer import (
     OptimizerConfig,
     TrainConfig,
     TrainingError,
-    checkpoint_configs,
+    _fit_logistic,
     eval_descriptor_accuracy,
     extract_features,
     linear_probe,
     load_checkpoint,
     pretrain,
     prepare_training_data,
+    read_checkpoint,
     sample_losses,
     save_checkpoint,
     train_step,
 )
+from reference_ops import lbfgs_fit_logistic
 
 TEST_MODEL = ModelConfig(
     image_size=32,
@@ -645,7 +649,8 @@ def test_checkpoint_damage_raises_and_mutates_nothing(tmp_path):
     save_checkpoint(ckpt, model, opt, step=7)
     assert (ckpt / "checkpoint.bin").read_bytes() == first
     assert sorted(f.name for f in ckpt.iterdir()) == ["checkpoint.bin"]
-    assert checkpoint_configs(ckpt) == (TINY_MODEL, OptimizerConfig(lr=1e-3))
+    saved = read_checkpoint(ckpt)
+    assert (saved.header["model"], saved.header["opt"], saved.header["step"]) == (TINY_MODEL, OptimizerConfig(lr=1e-3), 7)
 
     target = Model(TINY_MODEL, seed=1)
     target_opt = AdamW(target.params, OptimizerConfig(lr=1e-3))
@@ -678,7 +683,7 @@ def test_checkpoint_from_before_one_file_format_does_not_load(tmp_path):
     with pytest.raises(OSError, match="checkpoint.bin"):
         load_checkpoint(ckpt, model, AdamW(model.params))
     with pytest.raises(OSError, match="checkpoint.bin"):
-        checkpoint_configs(ckpt)
+        read_checkpoint(ckpt)
 
 
 def _rewrite_header(path, edit) -> None:
@@ -703,7 +708,7 @@ def test_checkpoint_config_fields_must_match(tmp_path, key, edit, named):
     save_checkpoint(tmp_path, model, opt, step=0)
     _rewrite_header(tmp_path / "checkpoint.bin", lambda header: edit(header[key]))
     with pytest.raises(ValueError, match=re.escape(f"{key} config fields do not match")) as exc:
-        checkpoint_configs(tmp_path)
+        read_checkpoint(tmp_path)
     assert named in str(exc.value) and "checkpoint.bin" in str(exc.value)
     fresh = Model(TINY_MODEL, seed=1)
     with pytest.raises(ValueError, match=re.escape(named)):
@@ -909,6 +914,89 @@ def test_linear_probe_refuses_a_train_frac_outside_0_1():
             linear_probe(feats, samples, ["pneumonia"], train_frac=frac)
 
 
+def test_linear_probe_refuses_features_that_are_not_2d():
+    samples = probe_samples(40, seed=1)
+    rng = np.random.default_rng(2)
+    for feats in (rng.normal(size=40), rng.normal(size=(40, 4, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"features must be 2-D (samples, dims), got shape {feats.shape}")):
+            linear_probe(feats, samples, ["pneumonia"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_linear_probe_names_the_first_non_finite_feature(bad):
+    samples = probe_samples(40, seed=1)
+    feats = np.random.default_rng(2).normal(size=(40, 4))
+    feats[30, 0] = feats[7, 2] = bad
+    with pytest.raises(ValueError, match=re.escape(f"features[7, 2] is {bad}, not finite")):
+        linear_probe(feats, samples, ["pneumonia"])
+
+
+def _logistic_objective(x, y, wb, l2=1e-3):
+    """The probe's objective: mean log-loss plus ``0.5 * l2 * |w|^2``."""
+    z = x @ wb[:-1] + wb[-1]
+    return np.mean((1.0 - y) * z + np.logaddexp(0.0, -z)) + 0.5 * l2 * (wb[:-1] @ wb[:-1])
+
+
+@pytest.fixture(scope="module")
+def probe_world():
+    """A balanced corpus, its entities and three feature sets: a planted
+    label signal, seeded noise and a random-init model's features."""
+    samples = probe_samples(160, seed=4)
+    entities = sorted({e for s in samples for e in s.labels})
+    y = np.array([[s.labels.get(e) == LABEL_PRESENT for e in entities] for s in samples], dtype=float)
+    rng = np.random.default_rng(5)
+    planted = rng.normal(size=(160, 16))
+    planted[:, : len(entities)] += 3.0 * y
+    feats = {
+        "planted": planted,
+        "noise": rng.normal(size=(160, 16)),
+        "random-init": extract_features(Model(TEST_MODEL, seed=6), samples),
+    }
+    return samples, entities, feats
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("kind", ["planted", "noise", "random-init"])
+def test_newton_fit_matches_the_lbfgs_reference(probe_world, monkeypatch, kind, shuffle):
+    # per entity, the Newton fit reaches the reference's objective and the
+    # probe scores the same accuracies
+    samples, entities, feats = probe_world
+    gaps = []
+
+    def both(x, y):
+        wb = _fit_logistic(x, y)
+        gaps.append(_logistic_objective(x, y, wb) - _logistic_objective(x, y, lbfgs_fit_logistic(x, y)))
+        return wb
+
+    monkeypatch.setattr(trainer, "_fit_logistic", both)
+    got = linear_probe(feats[kind], samples, entities, seed=0, shuffle_labels=shuffle)
+    monkeypatch.setattr(trainer, "_fit_logistic", lbfgs_fit_logistic)
+    want = linear_probe(feats[kind], samples, entities, seed=0, shuffle_labels=shuffle)
+    assert len(gaps) == got.n_entities >= 3
+    assert max(gaps) <= 1e-12
+    assert got.per_entity == want.per_entity
+
+
+def test_newton_fit_meets_its_gradient_tolerance():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(120, 8))
+    y = (x[:, 0] + rng.normal(size=120) > 0).astype(float)
+    wb = _fit_logistic(x, y)
+    xb = np.hstack([x, np.ones((120, 1))])
+    grad = xb.T @ (1.0 / (1.0 + np.exp(-(xb @ wb))) - y) / 120 + 1e-3 * np.r_[wb[:8], 0.0]
+    assert np.abs(grad).max() < NEWTON_TOL
+
+
+@pytest.mark.parametrize("cap, value, steps", [("NEWTON_STEPS", 1, 1), ("NEWTON_HALVINGS", 0, 0)])
+def test_linear_probe_names_the_entity_whose_fit_does_not_converge(monkeypatch, cap, value, steps):
+    # a step cap reached, or a step that no halving lets descend
+    samples = probe_samples(40, seed=1)
+    feats = np.random.default_rng(2).normal(size=(40, 4))
+    monkeypatch.setattr(trainer, cap, value)
+    with pytest.raises(ValueError, match=rf"entity 'pneumonia': no fit: max \|gradient\| \S+ after {steps} Newton steps"):
+        linear_probe(feats, samples, ["pneumonia"])
+
+
 _SHUFFLED_PROBE = """
 import numpy as np
 from pairmask.synthgen import SynthSpec, gen_dataset
@@ -935,21 +1023,30 @@ def test_linear_probe_shuffle_is_the_same_in_every_process():
     assert _run_python(_SHUFFLED_PROBE, PYTHONHASHSEED="1") == _run_python(_SHUFFLED_PROBE, PYTHONHASHSEED="2")
 
 
-def test_scipy_optimize_loads_only_for_the_probe():
-    # scipy.optimize and urllib.request are deferred to their one caller;
-    # at module level they add to every process's start-up time and peak
-    # memory. Nothing else needs scipy: importing the CLI, generating a
-    # corpus and extracting features must load no scipy module at all
+def test_no_scipy_module_loads_for_features_or_the_probe():
+    # numpy is the only runtime dependency, and urllib.request is deferred
+    # to its one caller: importing the CLI, generating a corpus, extracting
+    # features and probing them must load no scipy module at all
     code = ("import sys, pairmask.cli, pairmask.trainer; "
             "print('urllib.request' in sys.modules); "
             "from pairmask.model import Model, ModelConfig; "
             "from pairmask.synthgen import SynthSpec, gen_dataset; "
-            "samples = gen_dataset(SynthSpec(canvas=32, p_positive=0.5, seed=0), 4); "
+            "samples = gen_dataset(SynthSpec(canvas=32, p_positive=0.5, seed=0), 40); "
             "cfg = ModelConfig(image_size=16, patch=8, dim=8, encoder_depth=1, decoder_depth=1, "
             "text_decoder_depth=1, heads=2, max_text_len=16, vocab_size=16, sr_channels=2); "
-            "print(pairmask.trainer.extract_features(Model(cfg, seed=0), samples).shape); "
+            "feats = pairmask.trainer.extract_features(Model(cfg, seed=0), samples); "
+            "print(feats.shape); "
+            "entities = sorted({e for s in samples for e in s.labels}); "
+            "print(pairmask.trainer.linear_probe(feats, samples, entities).n_entities > 0); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert _run_python(code).split("\n") == ["False", "(4, 8)", "[]", ""]
+    assert _run_python(code).split("\n") == ["False", "(40, 8)", "True", "[]", ""]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps] == ["numpy"]
 
 
 def test_linear_probe_skips_single_class_entities():
