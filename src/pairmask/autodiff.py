@@ -68,6 +68,18 @@ the C order of the gathered entries. Entries that land on one position
 that call's bit for bit. Flat 1-D operands take numpy's fast
 ``ufunc.at`` loop (numpy >= 1.25).
 
+Memory: a train step or eval pass frees and reallocates the same
+arrays, many of a few hundred KiB, every time it runs. glibc's default
+thresholds are dynamic: its mmap threshold (128 KiB at start) rises
+after each large free, and its heap is trimmed back to the kernel at
+128 KiB of free top, so whether a step page-faulted its buffers back in
+followed the order of earlier frees rather than the code. Importing this
+module therefore pins both through ``mallopt``: allocations up to glibc's
+32 MiB ceiling come from the heap, and free heap is returned only past
+256 MiB. Setting either threshold turns the dynamic ones off. The
+process's RSS stays at its high-water mark. Where the C library has no
+``mallopt`` (macOS, Windows), the import changes nothing.
+
 Inside ``with no_grad():`` operators record no parents and no vjps, so a
 forward-only pass builds no graph; ``backward`` refuses such a result.
 
@@ -78,6 +90,7 @@ the check itself, ``grad_check``, lives in ``tests/reference_ops.py``.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from contextlib import contextmanager
@@ -89,6 +102,21 @@ DEFAULT_DTYPE = np.float32
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _keep_freed_memory() -> None:
+    """Pin glibc's mmap and trim thresholds (see the module docstring)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return      # no mallopt (macOS), or no process handle (Windows)
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD, at glibc's 64-bit ceiling
+    mallopt(-1, 256 << 20)      # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
 
 
 class ShapeError(ValueError):
@@ -658,9 +686,9 @@ def _gelu_gate(x: np.ndarray) -> np.ndarray:
     if x.dtype == np.float64:
         phi = np.asarray(_erf_each(x * _INV_SQRT2), dtype=np.float64)
     else:
-        # the kept buffer is made before the two temporaries, which are
-        # then freed above it: in the other order a train step at the
-        # acceptance shape page-faulted about 2.6 MB back in every step
+        # the kept buffer is made before the two temporaries, so they
+        # are freed together above it, as one space the next allocation
+        # of their size can reuse
         phi = x * _INV_SQRT2
         np.clip(phi, -4.0, 4.0, out=phi)
         z = phi * phi

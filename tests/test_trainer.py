@@ -4,6 +4,7 @@ the evaluation probes."""
 import dataclasses
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -40,7 +41,6 @@ from pairmask.synthgen import (
     save_dataset,
 )
 from pairmask.trainer import (
-    EVAL_CHUNK,
     NEWTON_TOL,
     STREAM_EVAL,
     STREAM_IMAGE,
@@ -797,18 +797,28 @@ def per_sample_eval(model, samples, data, seed):
     return correct / total, logits
 
 
-def test_batched_eval_matches_per_sample_loop(monkeypatch):
-    samples, data, model = small_world(n=3 * EVAL_CHUNK)
-    # every other doc keeps only its original report: two lengths, two groups
+def two_length_world(n):
+    """A small world where every other doc keeps only its original report:
+    two sequence lengths, so two length groups in descriptor eval."""
+    samples, data, model = small_world(n=n)
     docs = [
         doc if i % 2 else annotate(tokenize(sample.report, data.vocab), DEFAULT_ENTITY_LEXICON, beta=DEFAULT_BETA)
         for i, (sample, doc) in enumerate(zip(samples, data.docs))
     ]
-    data = dataclasses.replace(data, docs=docs)
+    assert len({len(doc.seq) for doc in docs}) == 2
+    return samples, dataclasses.replace(data, docs=docs), model
+
+
+SMALL_CHUNK = 8
+
+
+def test_batched_eval_matches_per_sample_loop(monkeypatch):
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", SMALL_CHUNK)
+    samples, data, model = two_length_world(n=3 * SMALL_CHUNK)
+    docs = data.docs
     want_acc, want_logits = per_sample_eval(model, samples, data, seed=3)
     lengths = {len(doc.seq) for doc in docs}
-    assert len(lengths) == 2
-    assert max(sum(len(docs[i].seq) == n for i in want_logits) for n in lengths) > EVAL_CHUNK
+    assert max(sum(len(docs[i].seq) == n for i in want_logits) for n in lengths) > SMALL_CHUNK
 
     calls = []
     original = Model.decode_text
@@ -828,8 +838,9 @@ def test_batched_eval_matches_per_sample_loop(monkeypatch):
         np.testing.assert_allclose(got, want, rtol=0, atol=BATCH_ATOL)
 
 
-def test_extract_features_matches_per_sample_loop():
-    samples, data, model = small_world(n=EVAL_CHUNK + 5)
+def test_extract_features_matches_per_sample_loop(monkeypatch):
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", SMALL_CHUNK)
+    samples, data, model = small_world(n=SMALL_CHUNK + 5)
     feats = extract_features(model, samples)
     want = np.stack([
         model.forward_finetune(downsample(s.image, model.cfg.sr_factor).astype(np.float32)).data
@@ -837,6 +848,49 @@ def test_extract_features_matches_per_sample_loop():
     ]).astype(np.float64)
     assert feats.shape == want.shape and feats.dtype == np.float64
     np.testing.assert_allclose(feats, want, rtol=0, atol=BATCH_ATOL)
+
+
+def test_eval_is_bit_exact_in_every_chunking(monkeypatch):
+    # 40 samples: chunks of 3 and 32 leave a partial chunk, in both length
+    # groups of descriptor eval and in feature extraction
+    samples, data, model = two_length_world(n=40)
+    lengths = sorted({len(doc.seq) for doc in data.docs})
+    calls = []
+    original = Model.decode_text
+
+    def recording(self, f_f):
+        out = original(self, f_f)
+        calls.append(out.data)
+        return out
+
+    monkeypatch.setattr(Model, "decode_text", recording)
+    runs = []
+    for chunk in (3, 8, 32, len(samples)):
+        monkeypatch.setattr(trainer, "EVAL_CHUNK", chunk)
+        calls.clear()
+        acc = eval_descriptor_accuracy(model, samples, data, seed=5)
+        assert max(len(c) for c in calls) <= chunk
+        # within a length group, chunks keep the input order
+        logits = [np.concatenate([c for c in calls if c.shape[-2] == n]) for n in lengths]
+        runs.append((extract_features(model, samples), acc, logits))
+    feats, acc, logits = runs[0]
+    for other_feats, other_acc, other_logits in runs[1:]:
+        assert np.array_equal(other_feats, feats)
+        assert other_acc == acc
+        assert all(np.array_equal(a, b) for a, b in zip(other_logits, logits))
+
+
+def test_misaligned_inputs_are_refused_naming_both_lengths():
+    samples, data, model = small_world(n=6)
+    with pytest.raises(ValueError, match="5 samples and 6 prepared docs misaligned"):
+        eval_descriptor_accuracy(model, samples[:5], data)
+    fewer = dataclasses.replace(data, docs=data.docs[:5])
+    with pytest.raises(ValueError, match="6 samples and 5 prepared docs misaligned"):
+        eval_descriptor_accuracy(model, samples, fewer)
+    with pytest.raises(ValueError, match="pretrain: 6 samples and 5 prepared docs misaligned"):
+        pretrain(model, samples, fewer, TrainConfig(steps=1, batch_size=2, seed=0, log_every=0))
+    with pytest.raises(ValueError, match="linear_probe: 5 feature rows and 6 samples misaligned"):
+        linear_probe(np.zeros((5, 4)), samples, ["x"])
 
 
 def test_forward_only_evaluation_builds_no_graph(monkeypatch):
@@ -1040,6 +1094,48 @@ def test_no_scipy_module_loads_for_features_or_the_probe():
             "print(pairmask.trainer.linear_probe(feats, samples, entities).n_entities > 0); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _run_python(code).split("\n") == ["False", "(40, 8)", "True", "[]", ""]
+
+
+_PAGE_FAULTS = """
+import dataclasses, resource
+from pairmask import synthgen, trainer
+from pairmask.model import Model, ModelConfig
+samples = synthgen.gen_dataset(synthgen.SynthSpec(seed=0), 64)
+data = trainer.prepare_training_data(samples)
+model = Model(ModelConfig(vocab_size=len(data.vocab)), seed=0)
+opt = trainer.AdamW(model.params)
+tc = trainer.TrainConfig(steps=3, batch_size=8, seed=0, log_every=0)
+batch = samples[:32]
+batch_data = trainer.prepare_training_data(batch)
+
+def evaluate():
+    trainer.extract_features(model, batch)
+    trainer.eval_descriptor_accuracy(model, batch, batch_data)
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+trainer.pretrain(model, samples, data, tc, opt=opt)
+evaluate()
+start = faults()
+trainer.pretrain(model, samples, data, dataclasses.replace(tc, steps=13), opt=opt, start_step=3)
+trained = faults()
+for _ in range(3):
+    evaluate()
+print(trained - start, faults() - trained)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="the engine pins glibc's malloc thresholds only",
+)
+def test_a_fresh_process_does_not_page_fault_its_buffers_back_in():
+    # at glibc's dynamic thresholds a default-shape train step page-faulted
+    # over a thousand times, its freed buffers unmapped and mapped again
+    train, evaluate = map(int, _run_python(_PAGE_FAULTS).split())
+    assert train <= 10 * 50, f"{train} minor page faults in 10 train steps"
+    assert evaluate <= 6 * 50, f"{evaluate} minor page faults in 6 eval calls of 32 samples"
 
 
 def test_numpy_is_the_only_runtime_dependency():
