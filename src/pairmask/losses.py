@@ -142,12 +142,15 @@ def loss_mlm(logits: Tensor, target_ids: np.ndarray, plans, factors: RebalanceFa
 
 
 def loss_sr(sr_output: Tensor, target: np.ndarray, attention: np.ndarray) -> Tensor:
-    """Attention-weighted MSE against the high-resolution target.
+    """Attention-weighted MSE against the high-resolution target:
+    ``sum(w (out - target)^2) / (sum(w) + eps)`` per sample.
 
-    Zero-attention pixels contribute nothing; a uniform all-ones map
-    recovers plain MSE up to the stabilizing epsilon in the divisor.
-    (H, W) arrays give a scalar, (B, H, W) arrays the (B,) per-sample
-    losses.
+    Zero-attention pixels contribute nothing, and an all-zero map gives
+    a term of exactly +0 with +-0 gradients, which is why the training
+    step runs it only on weighted slots. A uniform all-ones map recovers
+    plain MSE up to the stabilizing epsilon in the divisor. (H, W)
+    arrays give a scalar, (B, H, W) arrays the (B,) per-sample losses.
+    Negative weights raise ValueError.
     """
     if sr_output.shape != target.shape or sr_output.shape != attention.shape:
         raise ValueError(

@@ -279,7 +279,8 @@ class Model:
         return ad.linear(x, self.params["dec.head.w"], self.params["dec.head.b"])
 
     def sr_head(self, low: Tensor) -> Tensor:
-        """Residual super-resolution: bilinear 2x plus a learned correction, (..., H, W) -> (..., 2H, 2W)."""
+        """Residual super-resolution: bilinear upsampling by ``s = cfg.sr_factor``
+        plus a learned correction, (..., H, W) -> (..., sH, sW)."""
         up = ad.bilinear_upsample(low, self.cfg.sr_factor)
         r = ad.reshape(up, up.shape[:-2] + (1,) + up.shape[-2:])
         hid = ad.gelu(ad.conv2d(r, self.params["sr.conv1.w"], self.params["sr.conv1.b"]))

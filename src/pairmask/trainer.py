@@ -16,6 +16,9 @@ are chunked. One exception: reports of different token lengths run the
 text path in one group per length, and the text parameters (``tok_embed``,
 ``fuse.*``, ``txtdec.*``) then sum their gradients group by group rather
 than in slot order, which changes float32 rounding, not the math.
+Only slots whose SR weight map has a positive entry run the SR head: a
+zero-weight slot's SR term is ``0 / (0 + eps) = +0`` and its gradients
+are +-0, so leaving it out changes no bit.
 Evaluation is forward-only: it runs under ``no_grad`` and stacks samples
 along a leading batch axis.
 """
@@ -293,6 +296,19 @@ class TrainConfig:
     use_descriptor_mask: bool = True
 
 
+def _sr_weight_peaks(samples: Sequence[SynthSample], weights: np.ndarray) -> np.ndarray:
+    """Each slot's largest SR weight, (B,); refuses a map with a NaN, an
+    infinite or a negative entry, naming the sample."""
+    peaks, lows = weights.max(axis=(-2, -1)), weights.min(axis=(-2, -1))
+    # max and min propagate NaN, so a slot passes exactly when its entries are finite and non-negative
+    bad = np.flatnonzero(~(np.isfinite(peaks) & (lows >= 0)))
+    if bad.size:
+        w = weights[bad[0]]
+        kind = "NaN" if np.isnan(w).any() else "infinite" if np.isinf(w).any() else "negative"
+        raise ValueError(f"sample {samples[bad[0]].id}: SR weight map has a {kind} entry")
+    return peaks
+
+
 def _losses(
     model: Model,
     pairs: Sequence[tuple],
@@ -310,6 +326,17 @@ def _losses(
     the terms are (B,); every sample shows the same number of patches,
     so the image path is one rectangular batch (MAE's gather), and the
     text path runs once per report length.
+
+    The SR branch (reassembly, ``Model.sr_head``, ``loss_sr``) runs only
+    on the slots whose weight map has a positive entry, and the others
+    read an exact-zero SR term. That gives the bits of running it on
+    every slot: a zero-weight slot's term is +0 and its gradients are
+    +-0, and each op computes a sample's slice as in any batch. With no
+    weighted slot, slot 0 runs it, so every ``sr.*`` parameter still
+    gets its zero gradient and AdamW moves it as before. With every slot
+    weighted, or a batch of one, the branch is the whole batch. A weight
+    map with a NaN, an infinite or a negative entry raises ValueError
+    naming the sample.
     """
     cfg = model.cfg
     dtype = np.float64 if model.dtype == np.float64 else np.float32
@@ -332,8 +359,19 @@ def _losses(
 
     if use_sr:
         weights = np.stack([s.attention if attention is None else attention(s) for s in samples])
-        recon = unpatchify_t(rows, cfg.image_size, cfg.image_size, cfg.patch)
-        sr = loss_sr(model.sr_head(recon), images.astype(dtype), weights)
+        kept = np.flatnonzero(_sr_weight_peaks(samples, weights) > 0)
+        if kept.size == 0:
+            kept = np.zeros(1, dtype=np.int64)   # so every sr.* parameter still gets its zero gradient
+        if kept.size == len(samples):
+            recon = unpatchify_t(rows, cfg.image_size, cfg.image_size, cfg.patch)
+            sr = loss_sr(model.sr_head(recon), images.astype(dtype), weights)
+        else:
+            recon = unpatchify_t(ad.take_rows(rows, kept), cfg.image_size, cfg.image_size, cfg.patch)
+            sr_kept = loss_sr(model.sr_head(recon), images[kept].astype(dtype), weights[kept])
+            # every other slot reads the appended zero
+            slot_rows = np.full(len(samples), kept.size)
+            slot_rows[kept] = np.arange(kept.size)
+            sr = ad.take_rows(ad.concat([sr_kept, ad.constant(np.zeros(1), dtype=dtype)]), slot_rows)
     else:
         sr = ad.constant(np.zeros(mim.shape), dtype=dtype)
 

@@ -470,6 +470,54 @@ def test_batched_step_equals_per_slot_for_any_batch(property_world, batch, seed)
     assert_same_state(model_a, opt_a, model_b, opt_b)
 
 
+# slot order: zero-weight and weighted maps interleaved, or one kind only
+SR_BATCHES = {"mixed": "0110100", "all-zero": "0000", "all-weighted": "1111"}
+
+
+@pytest.mark.parametrize("pattern", SR_BATCHES.values(), ids=SR_BATCHES.keys())
+def test_sr_head_runs_only_on_weighted_slots_and_moves_no_bit(monkeypatch, pattern):
+    samples, data, model_a = small_world(n=24)
+    pools = {w: [i for i, s in enumerate(samples) if (s.attention.max() > 0) == w] for w in (False, True)}
+    pick = [pools[c == "1"].pop() for c in pattern]
+    pairs = [(samples[i], data.docs[i]) for i in pick]
+    sr_batches = []
+    sr_head = Model.sr_head
+
+    def recording_sr_head(self, low):
+        sr_batches.append(low.shape[0])
+        return sr_head(self, low)
+
+    monkeypatch.setattr(Model, "sr_head", recording_sr_head)
+    model_b = Model(model_a.cfg, seed=0)
+    opt_a, opt_b = AdamW(model_a.params), AdamW(model_b.params)
+    for step in range(2):
+        sr_batches.clear()
+        row = train_step(model_a, opt_a, pairs, data.factors, step=step, seed=5)
+        # an all-zero batch keeps slot 0, so the sr.* parameters still get a gradient
+        assert sr_batches == [max(pattern.count("1"), 1)]
+        if "1" not in pattern:
+            sr_grads = {name: p.grad for name, p in model_a.params.items() if name.startswith("sr.")}
+            assert sr_grads and all(g is not None and not g.any() for g in sr_grads.values())
+        assert row == slot_by_slot(model_b, opt_b, pairs, data.factors, step, 5)
+        opt_b.step()
+    assert_same_state(model_a, opt_a, model_b, opt_b)
+
+
+@pytest.mark.parametrize("value, kind", [(np.nan, "NaN"), (np.inf, "infinite"), (-np.inf, "infinite"),
+                                         (-0.25, "negative")])
+def test_a_broken_sr_weight_map_is_refused_naming_the_sample(value, kind):
+    samples, data, model = small_world(n=4)
+    attention = samples[2].attention.copy()
+    attention[5, 7] = value
+    pairs = list(zip(samples, data.docs))
+    pairs[2] = (dataclasses.replace(samples[2], attention=attention), data.docs[2])
+    before = {name: p.data.copy() for name, p in model.params.items()}
+    with pytest.raises(ValueError, match=re.escape(f"sample {samples[2].id}: SR weight map has a {kind} entry")):
+        train_step(model, AdamW(model.params), pairs, data.factors, step=0, seed=0)
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, before[name]), name
+
+
 # Reports of two lengths run the text path in two groups, so the text
 # parameters sum their gradients group by group, not slot by slot:
 # float32 round-off relative to each parameter's largest gradient
