@@ -42,6 +42,12 @@ weight's gradient within each sample first, then over the samples in
 slot order. A batched graph therefore gives the same bits as building,
 differentiating and dropping one graph per sample.
 
+One squared-error operator serves both image losses. ``weighted_mse``
+divides each sample's weighted sum by its weight sum, or by 1 where that
+sum is 0, and with unit weights it gives the mean squared error bit for
+bit. The plain ``mse`` it replaced, and its old ``sum(w) + 1e-8``
+divisor, stay in the tests as references.
+
 ``conv2d`` and ``bilinear_upsample`` are stacked matrix products as well,
 so the same holds for them. The convolution builds zero-padded 3x3
 windows (im2col, tap-major) only for the side of each product with fewer
@@ -751,46 +757,27 @@ def _sample_axes(x: np.ndarray) -> tuple:
     return tuple(range(max(x.ndim - 2, 0), x.ndim))
 
 
-def mse(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error per sample.
+def weighted_mse(pred: Tensor, target: Tensor, weights: np.ndarray) -> Tensor:
+    """Weighted squared error per sample: sum(w * (pred-target)^2) / sum(w).
 
-    The mean runs over the last two axes; axes before them index
-    samples, so (H, W) gives a scalar and (B, H, W) gives (B,).
+    Sums run over the last two axes; axes before them index samples, so
+    (H, W) gives a scalar and (B, H, W) gives (B,). ``weights`` is a
+    constant array (no gradient path through it). A sample whose weights
+    sum to 0 divides by 1 instead, so its term is +0 with +-0 gradients.
+    Unit weights give the mean squared error, bit for bit the value and
+    gradients of dividing by the element count.
     """
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse: shapes {pred.shape} vs {target.shape}")
-    _check_same_dtype("mse", pred, target)
-    diff = pred.data - target.data
-    axes = _sample_axes(diff)
-    n = int(np.prod([diff.shape[a] for a in axes]))
-    data = np.asarray((diff * diff).mean(axis=axes), dtype=pred.data.dtype)
-    per = data.shape + (1,) * len(axes)
-    return _make(
-        data,
-        (pred, target),
-        (
-            lambda g: (2.0 / n) * g.reshape(per) * diff,
-            lambda g: (-2.0 / n) * g.reshape(per) * diff,
-        ),
-        "mse",
-    )
-
-
-def weighted_mse(pred: Tensor, target: Tensor, weights: np.ndarray, eps: float = 1e-8) -> Tensor:
-    """Weighted squared error per sample: sum(w * (pred-target)^2) / (sum(w) + eps).
-
-    Sums run over the last two axes, as in ``mse``. ``weights`` is a
-    constant array (no gradient path through it).
-    """
-    w = weights.data if isinstance(weights, Tensor) else np.asarray(weights)
+    w = np.asarray(weights)
     if pred.shape != target.shape or w.shape != pred.shape:
         raise ShapeError(f"weighted_mse: shapes {pred.shape}/{target.shape}/{w.shape}")
+    _check_same_dtype("weighted_mse", pred, target)
     if np.any(w < 0):
         raise ValueError("weighted_mse: negative weights")
     dtype = pred.data.dtype
     w = w.astype(dtype, copy=False)
     axes = _sample_axes(pred.data)
-    denom = w.sum(axis=axes).astype(np.float64) + eps
+    total = w.sum(axis=axes).astype(np.float64)
+    denom = np.where(total > 0, total, 1.0)
     diff = pred.data - target.data
     data = np.asarray((w * diff * diff).sum(axis=axes) / denom.astype(dtype), dtype=dtype)
     per = data.shape + (1,) * len(axes)
@@ -867,8 +854,9 @@ def _shift_add(y: np.ndarray, h: int, w: int, flip: bool) -> np.ndarray:
     return out[..., 1 : h + 1, 1 : w + 1]
 
 
-def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """3x3 convolution, stride 1, zero padding 1: [Cin,H,W] -> [Cout,H,W].
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """3x3 convolution plus a per-channel bias, stride 1, zero padding 1:
+    [Cin,H,W] -> [Cout,H,W].
 
     A batch [B,Cin,H,W] -> [B,Cout,H,W] is one node of per-sample stacked
     matrix products, so a sample gets the same bits alone or in a batch.
@@ -878,7 +866,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     taps; the weight vjp takes windows of the narrower of ``x`` and ``g``.
     Rounding differs, once, from the per-sample einsum this replaced.
     """
-    _check_same_dtype("conv2d", x, w, *((b,) if b is not None else ()))
+    _check_same_dtype("conv2d", x, w, b)
     if x.ndim not in (3, 4) or w.ndim != 4 or w.shape[2:] != (3, 3):
         raise ShapeError(
             f"conv2d: x {x.shape}, w {w.shape}; need [Cin,H,W] or [B,Cin,H,W] and [Cout,Cin,3,3]"
@@ -887,7 +875,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     cout = w.shape[0]
     if w.shape[1] != cin:
         raise ShapeError(f"conv2d: channel mismatch, x has {cin}, w expects {w.shape[1]}")
-    if b is not None and b.shape != (cout,):
+    if b.shape != (cout,):
         raise ShapeError(f"conv2d: bias {b.shape} vs {cout} output channels")
 
     xs, x_rows = x.data.reshape(-1, cin, h, wd), x.data.reshape(-1, cin, h * wd)
@@ -896,8 +884,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     w_in, w_out = w9.transpose(0, 2, 1).reshape(cout, 9 * cin), w9.transpose(2, 0, 1).reshape(9 * cout, cin)
     data = w_in @ _taps(xs, False) if cin <= cout else _shift_add(w_out @ x_rows, h, wd, False)
     data = data.reshape(x.shape[:-3] + (cout, h, wd))
-    if b is not None:
-        data += b.data[:, None, None]
+    data += b.data[:, None, None]
 
     # when Cout <= Cin both vjps take the flipped windows of one incoming
     # g; they are built once, and dropped by vjp_w, the last to run
@@ -923,12 +910,10 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         gw = _running_sum(taps @ x_rows.swapaxes(-1, -2))
         return gw.reshape(9, cout, cin).transpose(1, 2, 0).reshape(w.shape)
 
-    parents = [x, w]
-    vjps = [vjp_x, vjp_w]
-    if b is not None:
-        parents.append(b)
-        vjps.append(lambda g: _running_sum(g.reshape(-1, cout, h * wd).sum(axis=-1)))
-    return _make(data, tuple(parents), tuple(vjps), "conv2d")
+    def vjp_b(g: np.ndarray) -> np.ndarray:
+        return _running_sum(g.reshape(-1, cout, h * wd).sum(axis=-1))
+
+    return _make(data, (x, w, b), (vjp_x, vjp_w, vjp_b), "conv2d")
 
 
 def _bilinear_matrix(n: int, factor: int, dtype) -> np.ndarray:

@@ -35,16 +35,6 @@ class RebalanceFactors:
     lambda_neg_exact: Fraction
     lambda_oth_exact: Fraction
 
-    @property
-    def identity_residual(self) -> Fraction:
-        """lambda_neg*n_neg + lambda_oth*n_oth - n_a, exact (zero by construction)."""
-        n_a = Fraction(self.n_neg + self.n_oth)
-        return (
-            self.lambda_neg_exact * self.n_neg
-            + self.lambda_oth_exact * self.n_oth
-            - n_a
-        )
-
 
 def compute_rebalance(n_neg: int, n_oth: int, lambda_neg: float = DEFAULT_LAMBDA_NEG) -> RebalanceFactors:
     """Solve for the other-descriptor weight given the negation weight.
@@ -84,6 +74,8 @@ def unit_factors(n_neg: int, n_oth: int) -> RebalanceFactors:
 def loss_mim(rows: Tensor, target: np.ndarray, plans, patch: int) -> Tensor:
     """Mean squared error over masked patches only: (B,) per-sample losses.
 
+    This is ``weighted_mse`` with unit weights on the masked rows.
+
     ``rows`` is the decoder's (B, N, patch^2) output, ``target`` the
     (B, H, W) images it reconstructs, and ``plans`` holds one
     ``PatchMaskPlan`` per sample. The target is cut into the same
@@ -102,7 +94,7 @@ def loss_mim(rows: Tensor, target: np.ndarray, plans, patch: int) -> Tensor:
     idx = np.array([p.masked for p in plans], dtype=np.int64)
     pred_rows = ad.take_rows(rows, idx)
     target_rows = np.take_along_axis(patchify(target, patch), idx[..., None], axis=-2)
-    return ad.mse(pred_rows, ad.constant(target_rows, dtype=rows.data.dtype))
+    return ad.weighted_mse(pred_rows, ad.constant(target_rows, dtype=rows.data.dtype), np.ones(pred_rows.shape))
 
 
 def loss_mlm(logits: Tensor, target_ids: np.ndarray, plans, factors: RebalanceFactors) -> Tensor:
@@ -143,13 +135,13 @@ def loss_mlm(logits: Tensor, target_ids: np.ndarray, plans, factors: RebalanceFa
 
 def loss_sr(sr_output: Tensor, target: np.ndarray, attention: np.ndarray) -> Tensor:
     """Attention-weighted MSE against the high-resolution target:
-    ``sum(w (out - target)^2) / (sum(w) + eps)`` per sample.
+    ``sum(w (out - target)^2) / sum(w)`` per sample.
 
-    Zero-attention pixels contribute nothing, and an all-zero map gives
-    a term of exactly +0 with +-0 gradients, which is why the training
-    step runs it only on weighted slots. A uniform all-ones map recovers
-    plain MSE up to the stabilizing epsilon in the divisor. (H, W)
-    arrays give a scalar, (B, H, W) arrays the (B,) per-sample losses.
+    Zero-attention pixels contribute nothing, and an all-zero map divides
+    by 1, giving a term of exactly +0 with +-0 gradients, which is why
+    the training step runs it only on weighted slots. A uniform all-ones
+    map gives plain MSE. (H, W) arrays give a scalar, (B, H, W) arrays
+    the (B,) per-sample losses.
     Negative weights raise ValueError.
     """
     if sr_output.shape != target.shape or sr_output.shape != attention.shape:
@@ -170,12 +162,10 @@ class LossBundle:
     total: Tensor
 
     def values(self) -> dict:
-        return {
-            "l_mim": float(self.mim.item()),
-            "l_mlm": float(self.mlm.item()),
-            "l_sr": float(self.sr.item()),
-            "total": float(self.total.item()),
-        }
+        """Each term's mean over the batch slots, its per-slot values added
+        in slot order as Python floats; a scalar bundle is one slot."""
+        terms = {"l_mim": self.mim, "l_mlm": self.mlm, "l_sr": self.sr, "total": self.total}
+        return {key: sum(float(v) for v in t.data.flat) / t.data.size for key, t in terms.items()}
 
 
 def loss_total(mim: Tensor, mlm: Tensor, sr: Tensor) -> LossBundle:

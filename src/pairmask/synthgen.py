@@ -222,7 +222,19 @@ def save_dataset(samples: Sequence[SynthSample], out_dir) -> None:
         s.lesion_mask.astype("<f4").tofile(out / "masks" / f"{s.id}.f32")
 
 
+def _read_plane(path: Path, side: int, sid: str) -> np.ndarray:
+    """A side x side little-endian float32 file; any other size raises
+    ValueError naming the file and the sample."""
+    size = path.stat().st_size
+    if size != side * side * 4:
+        raise ValueError(f"{path}: sample {sid} has {size} bytes, not {side * side * 4} ({side}x{side} float32)")
+    return np.fromfile(path, dtype="<f4").reshape(side, side)
+
+
 def load_dataset(in_dir) -> list:
+    """Read a corpus written by ``save_dataset``. A report without a
+    manifest row, or an image or mask file of the wrong size, raises
+    ValueError naming the file and the sample."""
     src = Path(in_dir)
     manifest = {}
     for line in (src / "manifest.tsv").read_text().splitlines():
@@ -238,9 +250,10 @@ def load_dataset(in_dir) -> list:
     for line in (src / "reports.jsonl").read_text().splitlines():
         rec = json.loads(line)
         sid = rec["id"]
+        if sid not in manifest:
+            raise ValueError(f"{src / 'manifest.tsv'}: no row for sample {sid}")
         side, img_rel, msk_rel = manifest[sid]
-        image = np.fromfile(src / img_rel, dtype="<f4").reshape(side, side)
-        mask = np.fromfile(src / msk_rel, dtype="<f4").reshape(side, side)
+        image, mask = (_read_plane(src / rel, side, sid) for rel in (img_rel, msk_rel))
         samples.append(
             SynthSample(
                 id=sid,

@@ -17,8 +17,8 @@ text path in one group per length, and the text parameters (``tok_embed``,
 ``fuse.*``, ``txtdec.*``) then sum their gradients group by group rather
 than in slot order, which changes float32 rounding, not the math.
 Only slots whose SR weight map has a positive entry run the SR head: a
-zero-weight slot's SR term is ``0 / (0 + eps) = +0`` and its gradients
-are +-0, so leaving it out changes no bit.
+zero-weight slot's SR term is ``0 / 1 = +0`` and its gradients are
++-0, so leaving it out changes no bit.
 Evaluation is forward-only: it runs under ``no_grad`` and stacks samples
 along a leading batch axis.
 """
@@ -455,9 +455,7 @@ def train_step(
         opt.step()
     except FloatingPointError as exc:
         raise TrainingError(f"step {step}: {exc}") from exc
-    terms = {"l_mim": bundle.mim, "l_mlm": bundle.mlm, "l_sr": bundle.sr, "total": bundle.total}
-    # per-slot values added in slot order, as Python floats
-    return {key: sum(float(v) for v in t.data) / n for key, t in terms.items()}
+    return bundle.values()
 
 
 def pretrain(
@@ -466,7 +464,6 @@ def pretrain(
     data: PreparedData,
     cfg: TrainConfig,
     opt: Optional[AdamW] = None,
-    opt_cfg: Optional[OptimizerConfig] = None,
     start_step: int = 0,
     log: Optional[Callable[[str], None]] = None,
     attention: Optional[Callable[[SynthSample], np.ndarray]] = None,
@@ -481,7 +478,7 @@ def pretrain(
     if cfg.ckpt_every < 0 or (cfg.ckpt_every and not cfg.ckpt_dir):
         raise ValueError(f"pretrain: ckpt_every {cfg.ckpt_every} must be 0, or positive with a ckpt_dir")
     if opt is None:
-        opt = AdamW(model.params, opt_cfg)
+        opt = AdamW(model.params)
     pool = list(zip(samples, data.docs))
     metrics = []
     for step in range(start_step, cfg.steps):

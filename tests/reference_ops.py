@@ -18,6 +18,12 @@ replaced, and ``stacked_taps`` the ``np.stack`` of nine window slices
 that ``conv2d``'s one-buffer windows replaced; ``tests/test_autodiff.py``
 holds the engine to both.
 
+``mse`` is the plain mean squared error the reconstruction loss used
+before it became ``weighted_mse`` with unit weights, and
+``eps_weighted_mse`` is ``weighted_mse`` as it was with a
+``sum(w) + 1e-8`` divisor; ``tests/test_autodiff.py`` holds the engine
+to the first bit for bit and to the second within a stated tolerance.
+
 ``lbfgs_fit_logistic`` is the linear probe's fit through scipy's
 L-BFGS that the engine's damped Newton solve replaced;
 ``tests/test_trainer.py`` holds the solve to its objective and its
@@ -36,7 +42,7 @@ from scipy.optimize import minimize
 from scipy.special import erf
 
 from pairmask import autodiff as ad
-from pairmask.autodiff import ShapeError, Tensor, _check_same_dtype, _make, _offsets
+from pairmask.autodiff import ShapeError, Tensor, _check_same_dtype, _make, _offsets, _sample_axes
 from pairmask.masking import _tile_axes
 
 
@@ -143,6 +149,55 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return data * (g - dot)
 
     return _make(data, (x,), (vjp,), "softmax")
+
+
+def mse(pred: Tensor, target: Tensor) -> Tensor:
+    """Mean squared error per sample.
+
+    The mean runs over the last two axes; axes before them index
+    samples, so (H, W) gives a scalar and (B, H, W) gives (B,).
+    """
+    if pred.shape != target.shape:
+        raise ShapeError(f"mse: shapes {pred.shape} vs {target.shape}")
+    _check_same_dtype("mse", pred, target)
+    diff = pred.data - target.data
+    axes = _sample_axes(diff)
+    n = int(np.prod([diff.shape[a] for a in axes]))
+    data = np.asarray((diff * diff).mean(axis=axes), dtype=pred.data.dtype)
+    per = data.shape + (1,) * len(axes)
+    return _make(
+        data,
+        (pred, target),
+        (
+            lambda g: (2.0 / n) * g.reshape(per) * diff,
+            lambda g: (-2.0 / n) * g.reshape(per) * diff,
+        ),
+        "mse",
+    )
+
+
+def eps_weighted_mse(pred: Tensor, target: Tensor, weights: np.ndarray, eps: float = 1e-8) -> Tensor:
+    """Weighted squared error per sample: sum(w * (pred-target)^2) / (sum(w) + eps)."""
+    w = np.asarray(weights)
+    if pred.shape != target.shape or w.shape != pred.shape:
+        raise ShapeError(f"eps_weighted_mse: shapes {pred.shape}/{target.shape}/{w.shape}")
+    dtype = pred.data.dtype
+    w = w.astype(dtype, copy=False)
+    axes = _sample_axes(pred.data)
+    denom = w.sum(axis=axes).astype(np.float64) + eps
+    diff = pred.data - target.data
+    data = np.asarray((w * diff * diff).sum(axis=axes) / denom.astype(dtype), dtype=dtype)
+    per = data.shape + (1,) * len(axes)
+    coef = (2.0 / denom).astype(dtype)
+    return _make(
+        data,
+        (pred, target),
+        (
+            lambda g: (coef * g).reshape(per) * w * diff,
+            lambda g: (-coef * g).reshape(per) * w * diff,
+        ),
+        "eps_weighted_mse",
+    )
 
 
 def patchify_t(image: ad.Tensor, patch: int) -> ad.Tensor:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_ops import grad_check, matmul, scipy_gelu_gate, softmax, stacked_taps
+from reference_ops import eps_weighted_mse, grad_check, matmul, mse, scipy_gelu_gate, softmax, stacked_taps
 
 from pairmask import autodiff as ad
 
@@ -137,7 +137,7 @@ class TestGradients:
     def test_add_broadcast_bias(self):
         rng = np.random.default_rng(12)
         x, b = t64(rng, 5, 4), t64(rng, 4)
-        check(lambda ts: ad.mse(ad.add(ts[0], ts[1]), ad.constant(np.zeros((5, 4)), dtype=np.float64)), [x, b])
+        check(lambda ts: mse(ad.add(ts[0], ts[1]), ad.constant(np.zeros((5, 4)), dtype=np.float64)), [x, b])
 
     def test_mul_broadcast(self):
         rng = np.random.default_rng(13)
@@ -206,9 +206,9 @@ class TestGradients:
         rng = np.random.default_rng(27)
         p, t = t64(rng, 3, 4, 5), ad.constant(rng.normal(size=(3, 4, 5)), dtype=np.float64)
         wts = rng.uniform(0.0, 1.0, size=(3, 4, 5))
-        assert ad.mse(p, t).shape == (3,) and ad.weighted_mse(p, t, wts).shape == (3,)
+        assert mse(p, t).shape == (3,) and ad.weighted_mse(p, t, wts).shape == (3,)
         v = ad.constant(rng.normal(size=3), dtype=np.float64)
-        check(lambda ts: ad.sum_all(ad.mul(ad.mse(ts[0], t), v)), [p])
+        check(lambda ts: ad.sum_all(ad.mul(mse(ts[0], t), v)), [p])
         check(lambda ts: ad.sum_all(ad.mul(ad.weighted_mse(ts[0], t, wts), v)), [p])
         logits = t64(rng, 2, 3, 6)
         ids = rng.integers(0, 6, size=(2, 3))
@@ -249,7 +249,7 @@ class TestGradients:
     def test_mse(self):
         rng = np.random.default_rng(23)
         p, t = t64(rng, 4, 4), t64(rng, 4, 4)
-        check(lambda ts: ad.mse(ts[0], ts[1]), [p, t])
+        check(lambda ts: mse(ts[0], ts[1]), [p, t])
 
     def test_weighted_mse(self):
         rng = np.random.default_rng(24)
@@ -262,6 +262,8 @@ class TestGradients:
         p, t = t64(rng, 4, 4), t64(rng, 4, 4)
         out = ad.weighted_mse(p, t, np.zeros((4, 4)))
         assert out.item() == 0.0
+        ad.backward(out)
+        assert not p.grad.any() and not t.grad.any()
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(26)
@@ -372,7 +374,7 @@ class TestErrors:
         x = ad.constant(np.zeros((2, 4, 4)))
         w = ad.constant(np.zeros((3, 1, 3, 3)))
         with pytest.raises(ad.ShapeError, match="conv2d"):
-            ad.conv2d(x, w)
+            ad.conv2d(x, w, ad.constant(np.zeros(3)))
 
     def test_linear_errors_name_the_input(self):
         x, w, b = ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((4, 5))), ad.constant(np.zeros(5))
@@ -525,7 +527,8 @@ class TestBatchedBitExact:
         self.run(ad.bilinear_upsample, img[:, 0], [])
         target = rng.normal(size=(4, 12, 12)).astype(np.float32)
         weights = rng.uniform(0.0, 1.0, size=(4, 12, 12)).astype(np.float32)
-        for loss in (lambda a, b, w: ad.mse(a, b), ad.weighted_mse):
+        weights[2] = 0.0    # a slot whose weights sum to 0 divides by 1
+        for loss in (lambda a, b, w: ad.weighted_mse(a, b, np.ones(w.shape)), ad.weighted_mse):
             x = ad.parameter(img[:, 0])
             batch = loss(x, ad.constant(target), weights)
             ad.backward(ad.sum_all(batch))
@@ -777,6 +780,49 @@ class TestConvAndBilinearContract:
 # ---------------------------------------------------------------------------
 
 ROW_LENGTHS = [1, 2, 5, 16, 40, 61]
+
+
+def _squared_error_and_vjps(loss, pred, target, g):
+    """``loss(pred, target)`` and its vjps of both inputs for ``g``, through ``backward``."""
+    leaves = [ad.parameter(a, dtype=a.dtype) for a in (pred, target)]
+    out = loss(*leaves)
+    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g, dtype=g.dtype))))
+    return [out.data] + [t.grad for t in leaves]
+
+
+class TestSquaredErrorReferences:
+    """``weighted_mse``, the engine's one squared-error op, against the
+    plain ``mse`` the reconstruction loss used, bit for bit at unit
+    weights, and against its old ``sum(w) + 1e-8`` divisor on
+    max-normalized maps, whose weights sum to at least 1. That divisor
+    moves a float64 value by 1e-8 / sum(w) of itself, so at most 1e-8;
+    at float32 the two agree within ``CONTRACT_TOL``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 12, 64), (1, 12, 64), (12, 64), (8, 64, 64)])
+    def test_unit_weights_equal_mse_bit_for_bit(self, dtype, shape):
+        rng = np.random.default_rng(90)
+        pred, target = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+        g = rng.normal(size=shape[:-2]).astype(dtype)
+        got = _squared_error_and_vjps(lambda p, t: ad.weighted_mse(p, t, np.ones(shape)), pred, target, g)
+        want = _squared_error_and_vjps(mse, pred, target, g)
+        for name, a, b in zip(("forward", "vjp pred", "vjp target"), got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weighted_maps_within_contract_of_eps_divisor(self, dtype):
+        rng = np.random.default_rng(91)
+        pred, target = (rng.normal(size=(6, 16, 16)).astype(dtype) for _ in range(2))
+        weights = rng.uniform(0.0, 1.0, size=(6, 16, 16)) ** 4
+        weights[:, 4:9, 5:10] = 1.0     # max-normalized: every peak is 1
+        weights[3] = 0.0                # both divisors give this slot +0
+        g = rng.normal(size=6).astype(dtype)
+        got = _squared_error_and_vjps(lambda p, t: ad.weighted_mse(p, t, weights), pred, target, g)
+        want = _squared_error_and_vjps(lambda p, t: eps_weighted_mse(p, t, weights), pred, target, g)
+        tol = CONTRACT_TOL[np.dtype(dtype)] if dtype == np.float32 else 1e-8
+        for name, a, b in zip(("forward", "vjp pred", "vjp target"), got, want):
+            assert np.abs(a - b).max() <= tol * np.abs(b).max(), name
+        assert got[0][3] == 0.0 and not got[1][3].any() and not got[2][3].any()
 
 
 def _numpy_layer_normalize(x, gain, bias, g, eps=1e-5):
@@ -1074,7 +1120,8 @@ class TestSavedForwardBitExact:
         assert np.array_equal(gx, want_x) and np.array_equal(gw, want_w)
         # only the weight vjp runs when x is a constant
         wl = ad.parameter(w, dtype=dtype)
-        ad.backward(ad.sum_all(ad.mul(ad.conv2d(ad.constant(x, dtype=dtype), wl), ad.constant(g, dtype=dtype))))
+        zero_b = ad.constant(np.zeros(cout), dtype=dtype)
+        ad.backward(ad.sum_all(ad.mul(ad.conv2d(ad.constant(x, dtype=dtype), wl, zero_b), ad.constant(g, dtype=dtype))))
         assert np.array_equal(wl.grad, want_w)
 
     def test_conv2d_windows_follow_the_incoming_gradient(self):
@@ -1082,8 +1129,8 @@ class TestSavedForwardBitExact:
         rng = np.random.default_rng(77)
         x = rng.normal(size=(2, 4, 5, 5)).astype(np.float32)
         w = rng.normal(size=(2, 4, 3, 3)).astype(np.float32)
-        out = ad.conv2d(ad.parameter(x), ad.parameter(w))
-        vjp_x, vjp_w = out._vjps
+        out = ad.conv2d(ad.parameter(x), ad.parameter(w), ad.parameter(np.zeros(2)))
+        vjp_x, vjp_w, _ = out._vjps
         g1, g2 = (rng.normal(size=(2, 2, 5, 5)).astype(np.float32) for _ in range(2))
         assert np.array_equal(vjp_x(g1), _unshared_conv_vjps(x, w, g1)[0])
         assert np.array_equal(vjp_w(g2), _unshared_conv_vjps(x, w, g2)[1])

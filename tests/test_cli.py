@@ -40,6 +40,23 @@ def test_synth_rejects_bad_canvas(tmp_path, capsys):
     assert "canvas" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["truncated image", "missing manifest row"])
+def test_stats_on_a_damaged_corpus_is_a_one_line_error(tmp_path, capsys, damage):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out), "--n", "4", "--seed", "0"]) == 0
+    sid = load_dataset(out)[1].id
+    if damage == "truncated image":
+        image = out / "images" / f"{sid}.f32"
+        image.write_bytes(image.read_bytes()[:100])
+    else:
+        rows = (out / "manifest.tsv").read_text().splitlines(keepends=True)
+        (out / "manifest.tsv").write_text("".join(row for row in rows if not row.startswith(f"{sid}\t")))
+    capsys.readouterr()
+    assert main(["stats", "--data", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"sample {sid}" in err
+
+
 def test_stats_reports_imbalance(corpus_dir, capsys):
     rc = main(["stats", "--data", str(corpus_dir)])
     assert rc == 0
@@ -94,6 +111,30 @@ def test_pretrain_resume_continues(corpus_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "resumed" in out and "at step 2" in out
     assert "final step 3" in out
+
+
+def test_model_attention_training_is_reproducible_across_runs_and_resume(corpus_dir, tmp_path, capsys):
+    """Under ``--attention model`` the SR weights come from the model being
+    trained: two runs give the same checkpoint bytes, and 6 steps plus a
+    3-step resume give those of a straight 9-step run."""
+    def run(name, steps, *extra):
+        rc = main([
+            "pretrain", "--data", str(corpus_dir), "--steps", str(steps), "--batch-size", "4",
+            "--log-every", "0", "--attention", "model", "--ckpt-dir", str(tmp_path / name), *extra,
+        ])
+        assert rc == 0
+        return (tmp_path / name / "checkpoint.bin").read_bytes()
+
+    straight = run("a", 9, *SMALL_MODEL)
+    assert run("b", 9, *SMALL_MODEL) == straight
+    run("six", 6, *SMALL_MODEL)
+    assert run("resumed", 9, "--resume", str(tmp_path / "six")) == straight
+    models = [Model(read_checkpoint(tmp_path / name).header["model"], seed=1) for name in ("a", "resumed")]
+    for model, name in zip(models, ("a", "resumed")):
+        assert load_checkpoint(tmp_path / name, model, AdamW(model.params)) == 9
+    for key, p in models[0].params.items():
+        assert p.data.tobytes() == models[1].params[key].data.tobytes()
+    capsys.readouterr()
 
 
 def test_pretrain_resume_refuses_to_go_backwards(corpus_dir, tmp_path, capsys):

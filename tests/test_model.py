@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from reference_ops import grad_check, matmul, softmax
+from reference_ops import grad_check, matmul, mse, softmax
 from test_autodiff import CONTRACT_TOL
 
 import pairmask.autodiff as ad
@@ -155,7 +155,7 @@ def test_decode_image_shape_and_mask_token_grad():
     f_v = m.encode_image(patches[:, list(plan.visible)], plan.visible)
     rows = m.decode_image(f_v, [plan])
     assert rows.shape == (1, 4, 16)
-    loss = ad.mse(rows, ad.constant(patches))
+    loss = mse(rows, ad.constant(patches))
     ad.backward(loss)
     g = m.params["mask_token"].grad
     assert g is not None and np.abs(g).max() > 0
@@ -226,7 +226,7 @@ def test_fusion_grads_reach_both_vision_paths():
     f_v = ad.parameter(rng.normal(size=(4, 8)))
     e_t = ad.constant(rng.normal(size=(3, 8)).astype(np.float32))
     bundle = m.mscf_fuse(f_v, e_t)
-    loss = ad.mse(bundle.f_f, ad.constant(np.zeros((3, 8), dtype=np.float32)))
+    loss = mse(bundle.f_f, ad.constant(np.zeros((3, 8), dtype=np.float32)))
     ad.backward(loss)
     assert np.abs(m.params["fuse.ca.attn.wv"].grad).max() > 0
     assert np.abs(m.params["fuse.global.w"].grad).max() > 0
@@ -456,7 +456,7 @@ def test_composite_gradient_check():
         bundle = m.mscf_fuse(f_v, m.embed_text(ids))
         logits = m.decode_text(bundle.f_f)
         nll = ad.cross_entropy_with_logits(logits, targets)
-        return ad.add(ad.add(ad.mse(rows, ad.constant(patches, dtype=np.float64)),
+        return ad.add(ad.add(mse(rows, ad.constant(patches, dtype=np.float64)),
                              ad.mean(ad.mul(sr, sr))),
                       ad.mean(nll))
 

@@ -219,3 +219,22 @@ class TestRoundTripIO:
             np.testing.assert_array_equal(a.image, b.image)
             np.testing.assert_array_equal(a.lesion_mask, b.lesion_mask)
             np.testing.assert_array_equal(a.attention, b.attention)
+
+    @pytest.mark.parametrize("kind", ["images", "masks"])
+    def test_a_file_of_the_wrong_size_names_the_file_and_sample(self, tmp_path, kind):
+        samples = synthgen.gen_dataset(small_spec(p_positive=0.5), 4)
+        synthgen.save_dataset(samples, tmp_path)
+        sid = samples[2].id
+        path = tmp_path / kind / f"{sid}.f32"
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(ValueError, match=rf"{kind}/{sid}\.f32: sample {sid} has 100 bytes, not 4096"):
+            synthgen.load_dataset(tmp_path)
+
+    def test_a_report_without_a_manifest_row_names_the_sample(self, tmp_path):
+        samples = synthgen.gen_dataset(small_spec(p_positive=0.5), 4)
+        synthgen.save_dataset(samples, tmp_path)
+        manifest = tmp_path / "manifest.tsv"
+        rows = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(rows[:1] + rows[2:]))
+        with pytest.raises(ValueError, match=rf"manifest\.tsv: no row for sample {samples[1].id}"):
+            synthgen.load_dataset(tmp_path)

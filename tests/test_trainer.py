@@ -262,7 +262,8 @@ def test_prepare_concatenates_and_annotates():
     assert len(data.docs) == len(samples)
     assert all(d.seq.boundary is not None for d in data.docs)
     assert data.stats.n_oth_tokens > 0
-    assert data.factors.identity_residual == 0
+    f = data.factors
+    assert f.lambda_neg_exact * f.n_neg + f.lambda_oth_exact * f.n_oth == f.n_neg + f.n_oth
 
 
 def test_prepare_without_distill():
